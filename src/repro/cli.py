@@ -736,10 +736,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
         fault_fuzz = run_fault_fuzz(args.fuzz, seed=args.seed)
     elif args.engine:
-        from repro.verify.engine_fuzz import EngineFuzzConfig, run_engine_fuzz
+        from repro.verify.engine_fuzz import run_engine_fuzz
 
-        engine_fuzz = run_engine_fuzz(
-            EngineFuzzConfig(cases=args.fuzz, seed=args.seed))
+        engine_fuzz = run_engine_fuzz(args.fuzz, seed=args.seed)
     elif args.resilience:
         from repro.verify.resilience_fuzz import run_resilience_fuzz
 
@@ -773,33 +772,36 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print(f"fuzz: {fuzz.cases} configs, seed {fuzz.seed}: "
                   f"{fuzz.failed_cases} failed")
             for f in fuzz.failures:
-                print(f"  {f.config.describe()} shrinks to "
+                print(f"  {f.case.describe()} shrinks to "
                       f"{f.shrunk.describe()}")
-                for v in f.shrunk_report.violations:
+                for v in f.shrunk_finding.violations:
                     print(f"    violation [{v.check}]: {v.message}")
         if fault_fuzz is not None:
             print(f"fault fuzz: {fault_fuzz.cases} scenarios, seed "
                   f"{fault_fuzz.seed}: {fault_fuzz.failed_cases} "
                   f"localisation misses")
             for f in fault_fuzz.failures:
-                print(f"  {f.scenario.describe()} shrinks to "
+                print(f"  {f.case.describe()} shrinks to "
                       f"{f.shrunk.describe()}")
-                print(f"    detected rank {f.shrunk_score.detected_rank} "
-                      f"({f.shrunk_score.attribution})")
+                print(f"    detected rank {f.shrunk_finding.detected_rank} "
+                      f"({f.shrunk_finding.attribution})")
         if engine_fuzz is not None:
-            print(f"engine fuzz: {engine_fuzz.cases_run} submission "
+            print(f"engine fuzz: {engine_fuzz.cases} submission "
                   f"sequences, seed {engine_fuzz.seed}: "
                   f"{engine_fuzz.failed_cases} diverged from reference")
             for f in engine_fuzz.failures:
-                print("  " + f.describe().replace("\n", "\n  "))
+                print(f"  divergence: {f.shrunk_finding[0]}\n"
+                      f"  minimal reproducer ({len(f.shrunk.ops)} "
+                      "submissions):\n  "
+                      + f.shrunk.describe().replace("\n", "\n  "))
         if resilience_fuzz is not None:
             print(f"resilience fuzz: {resilience_fuzz.cases} scenarios, "
                   f"seed {resilience_fuzz.seed}: "
                   f"{resilience_fuzz.failed_cases} invariant violations")
             for f in resilience_fuzz.failures:
-                print(f"  {f.scenario.describe()} shrinks to "
+                print(f"  {f.case.describe()} shrinks to "
                       f"{f.shrunk.describe()}")
-                for v in f.shrunk_violations:
+                for v in f.shrunk_finding:
                     print(f"    violation [{v['check']}]: {v['message']}")
         if step_inv is not None:
             for mode in step_inv["modes"]:
@@ -1124,7 +1126,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "pipeline schedule (default: the planner's "
                         "family pick)")
     p.add_argument("--json", action="store_true",
-                   help="emit the repro.resilience/v1 JSON report")
+                   help="emit the repro.resilience/v2 JSON report")
     p.add_argument("--trace", metavar="PATH",
                    help="write the run timeline (steps, checkpoints, "
                         "retry ladders, failure markers) as Perfetto "

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.faults.goodput import GoodputReport
     from repro.resilience.run import RunResult
-    from repro.verify.fuzz import FaultFuzzResult, FuzzResult
+    from repro.verify.campaign import CampaignResult
     from repro.verify.oracles import OracleResult
 
 import numpy as np
@@ -362,7 +362,7 @@ def analysis_report(
     """Trace-analytics outcome: critical path, run diff, or ingestion.
 
     Schema ``repro.analysis/v1`` is pinned independently of the global
-    :data:`SCHEMA_VERSION` (same convention as ``repro.resilience/v1``):
+    :data:`SCHEMA_VERSION` (same convention as ``repro.resilience/v2``):
     the analytics subsystem shipped against v1 and its golden
     (``tests/golden/analysis_step.json``) byte-compares this builder's
     output.  Sections are present only when their analysis ran:
@@ -386,12 +386,12 @@ def analysis_report(
 
 
 def verify_report(
-    fuzz: Optional["FuzzResult"],
+    fuzz: Optional["CampaignResult"],
     oracles: Sequence["OracleResult"] = (),
     step_invariants: Optional[dict] = None,
-    fault_fuzz: Optional["FaultFuzzResult"] = None,
-    engine_fuzz: Optional["EngineFuzzResult"] = None,
-    resilience_fuzz=None,
+    fault_fuzz: Optional["CampaignResult"] = None,
+    engine_fuzz: Optional["CampaignResult"] = None,
+    resilience_fuzz: Optional["CampaignResult"] = None,
 ) -> dict:
     """The verification subsystem's outcome (Section 6.2 methodology).
 

@@ -10,42 +10,52 @@ Correctness as a first-class, reusable subsystem (see
 * :mod:`repro.verify.oracles` — differential oracles: flexible-PP AFAB
   degeneration, CP head/tail sharding vs. unsharded attention, and
   pipeline numerics vs. the order-matched sequential baseline.
-* :mod:`repro.verify.fuzz` — deterministic config fuzzer with shrinking
-  to minimal reproducers.
-* :mod:`repro.verify.engine_fuzz` — differential engine fuzzer: random
-  submission sequences replayed through the fast engine and the frozen
-  reference engine (``tests/harness/reference_engine.py``), asserting
-  bitwise-equal observables, with greedy shrinking to a minimal
-  diverging sequence (``repro verify --engine``).
-* :mod:`repro.verify.resilience_fuzz` — taxonomy-sampling fuzz for the
-  resilient-run simulator: random failure taxonomies, tiered policies,
-  and mitigation strategies checked against accounting/progress/
-  determinism/fixed-draw invariants (``repro verify --resilience``).
+* :mod:`repro.verify.campaign` — the one fuzz-campaign runner:
+  seeded sampling, greedy shrinking to a minimal reproducer,
+  deduplication by shrunk reproducer, a cap of
+  :data:`~repro.verify.campaign.MAX_REPRODUCERS`, and the
+  :class:`~repro.verify.campaign.CampaignResult` every campaign returns.
+  Each campaign below supplies only its case type, sampler, checker and
+  neighbour function:
+
+  - :mod:`repro.verify.fuzz` — schedule configs checked against the
+    invariant suite (``repro verify``), and fault scenarios checked for
+    exact straggler localisation (``repro verify --faults``);
+  - :mod:`repro.verify.engine_fuzz` — random submission sequences
+    replayed through the fast engine and the frozen reference engine
+    (``tests/harness/reference_engine.py``), asserting bitwise-equal
+    observables (``repro verify --engine``);
+  - :mod:`repro.verify.resilience_fuzz` — random failure taxonomies,
+    tiered policies and mitigation strategies checked against
+    accounting/progress/determinism/fixed-draw invariants
+    (``repro verify --resilience``).
 
 The same machinery backs ``python -m repro verify`` (CI and local) and
 the test suite (``tests/test_verify_*.py``).
 """
 
+from repro.verify.campaign import (
+    MAX_REPRODUCERS,
+    CampaignFailure,
+    CampaignResult,
+    run_campaign,
+    shrink,
+)
 from repro.verify.engine_fuzz import (
     EngineFuzzCase,
-    EngineFuzzConfig,
-    EngineFuzzFailure,
-    EngineFuzzResult,
+    case_neighbours,
     check_case,
     compare_engines,
     load_reference_simulator,
     run_engine_fuzz,
     sample_case,
-    shrink_case,
 )
 from repro.verify.fuzz import (
     FuzzConfig,
-    FuzzFailure,
-    FuzzResult,
     check_config,
+    config_neighbours,
     run_fuzz,
     sample_config,
-    shrink_config,
 )
 from repro.verify.invariants import (
     InvariantReport,
@@ -59,13 +69,11 @@ from repro.verify.invariants import (
     run_invariants,
 )
 from repro.verify.resilience_fuzz import (
-    ResilienceFuzzFailure,
-    ResilienceFuzzResult,
     ResilienceScenario,
     check_resilience_scenario,
+    resilience_scenario_neighbours,
     run_resilience_fuzz,
     sample_resilience_scenario,
-    shrink_resilience_scenario,
 )
 from repro.verify.oracles import (
     OracleResult,
@@ -76,33 +84,33 @@ from repro.verify.oracles import (
 )
 
 __all__ = [
+    "CampaignFailure",
+    "CampaignResult",
     "EngineFuzzCase",
-    "EngineFuzzConfig",
-    "EngineFuzzFailure",
-    "EngineFuzzResult",
     "FuzzConfig",
-    "FuzzFailure",
-    "FuzzResult",
     "InvariantReport",
+    "MAX_REPRODUCERS",
     "OracleResult",
-    "ResilienceFuzzFailure",
-    "ResilienceFuzzResult",
     "ResilienceScenario",
     "Violation",
+    "case_neighbours",
     "check_case",
     "check_config",
     "check_conservation",
-    "compare_engines",
     "check_program_order",
     "check_resilience_scenario",
     "check_send_before_recv",
     "check_stream_overlap",
     "check_warmup_depth",
     "check_zero_schedule",
+    "compare_engines",
+    "config_neighbours",
     "load_reference_simulator",
     "oracle_afab_degeneration",
     "oracle_cp_attention",
     "oracle_pp_numerics",
+    "resilience_scenario_neighbours",
+    "run_campaign",
     "run_default_oracles",
     "run_engine_fuzz",
     "run_fuzz",
@@ -111,7 +119,5 @@ __all__ = [
     "sample_case",
     "sample_config",
     "sample_resilience_scenario",
-    "shrink_case",
-    "shrink_config",
-    "shrink_resilience_scenario",
+    "shrink",
 ]

@@ -10,13 +10,14 @@ through both engines, and diffs every observable: each
 :class:`TraceEvent` field, global and per-rank makespans, per-stream
 busy/idle accounting, and the ``events_for`` views.
 
-Determinism is the contract, exactly as in :mod:`repro.verify.fuzz`:
-``run_engine_fuzz(config)`` visits the same sequences in the same order
-everywhere, so a failure's seed plus its shrunk sequence is a complete
-reproduction recipe.  Failures are greedily *shrunk* to a minimal
-diverging submission sequence by dropping whole submissions (dependency
-references onto dropped submissions are patched out) and simplifying the
-survivors (deps, skew, retries, tags stripped one at a time).
+Determinism is the contract of the shared campaign runner
+(:mod:`repro.verify.campaign`): ``run_engine_fuzz(cases, seed)`` visits
+the same sequences in the same order everywhere, so a failure's seed
+plus its shrunk sequence is a complete reproduction recipe.  Failures
+shrink to a minimal diverging submission sequence by dropping whole
+submissions (dependency references onto dropped submissions are patched
+out) and simplifying the survivors (deps, skew, retries, tags stripped
+one at a time).
 
 The ``engine`` hook mirrors ``fuzz.py``'s ``build`` hook: injecting a
 deliberately corrupted fast engine must make the harness report and
@@ -27,13 +28,14 @@ from __future__ import annotations
 
 import importlib.util
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.sim.engine import Simulator
+from repro.verify.campaign import CampaignResult, run_campaign
 
 #: Streams the fuzzer submits onto — the ones real lowerings use.
 _STREAMS = ("compute", "tp", "p2p", "fsdp")
@@ -433,7 +435,7 @@ def check_case(
 
 
 # ----------------------------------------------------------------------
-# Shrinking
+# Shrinking neighbours
 # ----------------------------------------------------------------------
 
 def _drop_uid(ops: Sequence[SubmitOp], uid: int) -> Tuple[SubmitOp, ...]:
@@ -448,8 +450,11 @@ def _drop_uid(ops: Sequence[SubmitOp], uid: int) -> Tuple[SubmitOp, ...]:
     return tuple(out)
 
 
-def _shrink_candidates(case: EngineFuzzCase) -> List[EngineFuzzCase]:
-    """Strictly-smaller neighbours, biggest reduction first."""
+def case_neighbours(case: EngineFuzzCase) -> List[EngineFuzzCase]:
+    """Strictly-smaller neighbours, biggest reduction first: whole
+    submissions dropped (dependency references patched out), modifiers
+    dropped, then one simplification (deps, skew, retries, tags) per
+    submission."""
     out: List[EngineFuzzCase] = []
     for op in case.ops:
         out.append(replace(case, ops=_drop_uid(case.ops, op.uid)))
@@ -473,137 +478,35 @@ def _shrink_candidates(case: EngineFuzzCase) -> List[EngineFuzzCase]:
                   key=lambda c: c.cost)
 
 
-def shrink_case(
-    case: EngineFuzzCase,
-    failing: Callable[[EngineFuzzCase], bool],
-) -> EngineFuzzCase:
-    """Greedily minimise a diverging sequence (same loop as
-    :func:`repro.verify.fuzz.shrink_config`: every accepted candidate
-    strictly reduces ``cost``, so termination is guaranteed)."""
-    current = case
-    improved = True
-    while improved:
-        improved = False
-        for candidate in _shrink_candidates(current):
-            if failing(candidate):
-                current = candidate
-                improved = True
-                break
-    return current
-
-
 # ----------------------------------------------------------------------
 # Campaign
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EngineFuzzConfig:
-    """One engine-fuzz campaign's knobs."""
-
-    cases: int = 200
-    seed: int = 0
-    max_ops: int = 24
-    world: int = 8
-
-
-@dataclass(frozen=True)
-class EngineFuzzFailure:
-    """One diverging sequence with its minimal shrunk reproducer."""
-
-    case: EngineFuzzCase
-    problems: Tuple[str, ...]
-    shrunk: EngineFuzzCase
-    shrunk_problems: Tuple[str, ...]
-
-    def describe(self) -> str:
-        return (f"divergence: {self.shrunk_problems[0]}\n"
-                f"minimal reproducer ({len(self.shrunk.ops)} submissions):\n"
-                f"{self.shrunk.describe()}")
-
-    def to_dict(self) -> dict:
-        return {
-            "problems": list(self.problems),
-            "shrunk_problems": list(self.shrunk_problems),
-            "shrunk_case": self.shrunk.to_dict(),
-        }
-
-
-@dataclass(frozen=True)
-class EngineFuzzResult:
-    """Outcome of one engine-fuzz campaign."""
-
-    seed: int
-    cases_run: int
-    failed_cases: int
-    failures: Tuple[EngineFuzzFailure, ...] = field(default=())
-
-    @property
-    def ok(self) -> bool:
-        return self.failed_cases == 0
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "cases": self.cases_run,
-            "failed_cases": self.failed_cases,
-            "ok": self.ok,
-            "failures": [f.to_dict() for f in self.failures],
-        }
-
-
 def run_engine_fuzz(
-    config: EngineFuzzConfig = EngineFuzzConfig(),
+    cases: int,
+    seed: int = 0,
     engine: Callable[[], object] = Simulator,
-    max_failures: int = 5,
-) -> EngineFuzzResult:
-    """Run one differential fuzz campaign.
-
-    Args:
-        config: Campaign size, seed, and sequence shape.
-        engine: Fast-engine factory (the hook corrupted-engine
-            self-tests inject through).
-        max_failures: Stop collecting (and shrinking) after this many
-            diverging sequences — the campaign still counts the rest.
-    """
+) -> CampaignResult[EngineFuzzCase, Tuple[str, ...]]:
+    """Fuzz ``cases`` submission sequences against the reference engine
+    and shrink every divergence; ``engine`` is the fast-engine factory
+    (the hook corrupted-engine self-tests inject through)."""
     reference_cls = load_reference_simulator()
-    rng = np.random.default_rng(config.seed)
-    failures: List[EngineFuzzFailure] = []
-    failed = 0
-    for _ in range(config.cases):
-        case = sample_case(rng, max_ops=config.max_ops, world=config.world)
-        problems = check_case(case, reference_cls, engine)
-        if not problems:
-            continue
-        failed += 1
-        if len(failures) < max_failures:
-            shrunk = shrink_case(
-                case,
-                lambda c: bool(check_case(c, reference_cls, engine)))
-            failures.append(EngineFuzzFailure(
-                case=case,
-                problems=tuple(problems),
-                shrunk=shrunk,
-                shrunk_problems=tuple(
-                    check_case(shrunk, reference_cls, engine))))
-    return EngineFuzzResult(
-        seed=config.seed,
-        cases_run=config.cases,
-        failed_cases=failed,
-        failures=tuple(failures),
-    )
+
+    def check(case: EngineFuzzCase) -> Optional[Tuple[str, ...]]:
+        return tuple(check_case(case, reference_cls, engine)) or None
+
+    return run_campaign(cases, seed, sample_case, check, case_neighbours,
+                        nouns=("case", "problems"))
 
 
 __all__ = [
     "EngineFuzzCase",
-    "EngineFuzzConfig",
-    "EngineFuzzFailure",
-    "EngineFuzzResult",
     "SubmitOp",
+    "case_neighbours",
     "check_case",
     "compare_engines",
     "load_reference_simulator",
     "replay_case",
     "run_engine_fuzz",
     "sample_case",
-    "shrink_case",
 ]

@@ -6,9 +6,9 @@ deterministic RNG — the schedule ``kind`` is drawn from the
 without touching this module — builds and executes each schedule on the
 simulator, runs the full invariant suite
 (:mod:`repro.verify.invariants`), and — when a configuration fails —
-greedily *shrinks* it to a minimal reproducer by re-checking
-ever-smaller neighbouring configurations.  Shrinking stays within the
-sampled kind and only proposes shapes that kind supports, so a shrunk
+shrinks it to a minimal reproducer through the shared campaign runner
+(:mod:`repro.verify.campaign`).  :func:`config_neighbours` stays within
+the sampled kind and only proposes shapes that kind supports, so a shrunk
 reproducer is always directly re-buildable.
 
 Determinism is the contract: ``run_fuzz(n, seed)`` visits the same
@@ -52,6 +52,7 @@ from repro.pp.registry import ScheduleEntry, schedule_entry, schedule_kinds
 from repro.pp.schedule import PipelineSchedule
 from repro.train.cost import StageCost
 from repro.train.executor import execute_pipeline
+from repro.verify.campaign import CampaignResult, run_campaign
 from repro.verify.invariants import (
     InvariantReport,
     Violation,
@@ -225,7 +226,7 @@ def check_config(
                           bs=config.nmb if config.zero else None)
 
 
-def _shrink_candidates(config: FuzzConfig) -> List[FuzzConfig]:
+def config_neighbours(config: FuzzConfig) -> List[FuzzConfig]:
     """Strictly-smaller valid neighbours (same kind, still within the
     kind's support set), biggest reduction first."""
     out: List[FuzzConfig] = []
@@ -259,72 +260,8 @@ def _shrink_candidates(config: FuzzConfig) -> List[FuzzConfig]:
     return sorted(out, key=lambda c: c.cost)
 
 
-def shrink_config(
-    config: FuzzConfig,
-    failing: Callable[[FuzzConfig], bool],
-) -> FuzzConfig:
-    """Greedily minimise a failing configuration.
-
-    Repeatedly replaces the config with its smallest still-failing
-    neighbour; terminates because every candidate strictly reduces
-    ``FuzzConfig.cost``.
-    """
-    if not failing(config):
-        raise ValueError(f"config {config.describe()} does not fail")
-    current = config
-    improved = True
-    while improved:
-        improved = False
-        for candidate in _shrink_candidates(current):
-            if failing(candidate):
-                current = candidate
-                improved = True
-                break
-    return current
-
-
-@dataclass(frozen=True)
-class FuzzFailure:
-    """One failing configuration with its minimal shrunk reproducer."""
-
-    config: FuzzConfig
-    report: InvariantReport
-    shrunk: FuzzConfig
-    shrunk_report: InvariantReport
-
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config.to_dict(),
-            "violations": [v.to_dict() for v in self.report.violations],
-            "shrunk_config": self.shrunk.to_dict(),
-            "shrunk_violations": [
-                v.to_dict() for v in self.shrunk_report.violations],
-        }
-
-
-@dataclass(frozen=True)
-class FuzzResult:
-    """Outcome of one fuzz campaign."""
-
-    seed: int
-    cases: int
-    failed_cases: int
-    checks_run: Tuple[str, ...]
-    failures: Tuple[FuzzFailure, ...]
-
-    @property
-    def ok(self) -> bool:
-        return self.failed_cases == 0
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "cases": self.cases,
-            "failed_cases": self.failed_cases,
-            "ok": self.ok,
-            "checks_run": list(self.checks_run),
-            "failures": [f.to_dict() for f in self.failures],
-        }
+def _violations_json(report: InvariantReport) -> List[dict]:
+    return [v.to_dict() for v in report.violations]
 
 
 def run_fuzz(
@@ -334,54 +271,30 @@ def run_fuzz(
     max_pp: int = 8,
     max_v: int = 3,
     max_nmb: int = 16,
-    max_failures: int = 10,
     kinds: Optional[Sequence[str]] = None,
-) -> FuzzResult:
+) -> CampaignResult[FuzzConfig, InvariantReport]:
     """Fuzz ``cases`` sampled configurations and shrink every failure.
 
     Each case draws its schedule kind from the registry (restricted to
     ``kinds`` when given — the CLI's ``--schedule`` pin and CI's
     per-kind matrix use this); ``build`` overrides the registry builder
-    for corruption-injection tests.  Stops collecting (but keeps
-    counting) after ``max_failures`` distinct shrunk reproducers — a
-    systematic bug fails hundreds of configs that all shrink to the
-    same handful of minimal cases.
+    for corruption-injection tests.  The result's ``checks_run`` is the
+    union of invariant checks every checked config ran.
     """
-    if cases < 1:
-        raise ValueError("cases must be >= 1")
-    rng = np.random.default_rng(seed)
-    failures: List[FuzzFailure] = []
-    seen_shrunk: Set[FuzzConfig] = set()
-    checks_run: Tuple[str, ...] = ()
-    failed_cases = 0
-    for _ in range(cases):
-        config = sample_config(rng, max_pp=max_pp, max_v=max_v,
-                               max_nmb=max_nmb, kinds=kinds)
+    checks_run: Set[str] = set()
+
+    def check(config: FuzzConfig) -> Optional[InvariantReport]:
         report = check_config(config, build)
-        checks_run = tuple(sorted(set(checks_run) | set(report.checks_run)))
-        if report.ok:
-            continue
-        failed_cases += 1
-        if len(failures) >= max_failures:
-            continue
-        shrunk = shrink_config(
-            config, lambda c: not check_config(c, build).ok)
-        if shrunk in seen_shrunk:
-            continue
-        seen_shrunk.add(shrunk)
-        failures.append(FuzzFailure(
-            config=config,
-            report=report,
-            shrunk=shrunk,
-            shrunk_report=check_config(shrunk, build),
-        ))
-    return FuzzResult(
-        seed=seed,
-        cases=cases,
-        failed_cases=failed_cases,
-        checks_run=checks_run,
-        failures=tuple(failures),
-    )
+        checks_run.update(report.checks_run)
+        return None if report.ok else report
+
+    result = run_campaign(
+        cases, seed,
+        lambda rng: sample_config(rng, max_pp=max_pp, max_v=max_v,
+                                  max_nmb=max_nmb, kinds=kinds),
+        check, config_neighbours,
+        nouns=("config", "violations"), finding_json=_violations_json)
+    return dataclasses.replace(result, checks_run=tuple(sorted(checks_run)))
 
 # ----------------------------------------------------------------------
 # Fault-randomizing campaign: fuzz the Section 6.1 localisation loop
@@ -517,106 +430,27 @@ def check_fault_scenario(
     return ok, score
 
 
-def shrink_fault_scenario(
-    scenario: FaultScenario,
-    failing: Callable[[FaultScenario], bool],
-) -> FaultScenario:
-    """Greedily drop noise faults while the scenario still fails —
-    yields the minimal noise set that breaks localisation."""
-    if not failing(scenario):
-        raise ValueError(f"scenario {scenario.describe()} does not fail")
-    current = scenario
-    improved = True
-    while improved:
-        improved = False
-        for i in range(len(current.noise)):
-            candidate = dataclasses.replace(
-                current,
-                noise=current.noise[:i] + current.noise[i + 1:])
-            if failing(candidate):
-                current = candidate
-                improved = True
-                break
-    return current
-
-
-@dataclass(frozen=True)
-class FaultFuzzFailure:
-    """One localisation miss with its minimal shrunk reproducer."""
-
-    scenario: FaultScenario
-    score: DetectionScore
-    shrunk: FaultScenario
-    shrunk_score: DetectionScore
-
-    def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario.to_dict(),
-            "score": self.score.to_dict(),
-            "shrunk_scenario": self.shrunk.to_dict(),
-            "shrunk_score": self.shrunk_score.to_dict(),
-        }
-
-
-@dataclass(frozen=True)
-class FaultFuzzResult:
-    """Outcome of one fault-randomizing campaign."""
-
-    seed: int
-    cases: int
-    failed_cases: int
-    failures: Tuple[FaultFuzzFailure, ...]
-
-    @property
-    def ok(self) -> bool:
-        return self.failed_cases == 0
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "cases": self.cases,
-            "failed_cases": self.failed_cases,
-            "ok": self.ok,
-            "failures": [f.to_dict() for f in self.failures],
-        }
+def fault_scenario_neighbours(scenario: FaultScenario) -> List[FaultScenario]:
+    """The scenario minus one noise fault, for each noise fault in turn —
+    shrinking yields the minimal noise set that breaks localisation."""
+    return [dataclasses.replace(
+                scenario,
+                noise=scenario.noise[:i] + scenario.noise[i + 1:])
+            for i in range(len(scenario.noise))]
 
 
 def run_fault_fuzz(
     cases: int,
     seed: int = 0,
     spec: WorkloadSpec = FAULT_FUZZ_WORKLOAD,
-    max_failures: int = 10,
-) -> FaultFuzzResult:
-    """Fuzz ``cases`` fault scenarios and shrink every localisation miss.
+) -> CampaignResult[FaultScenario, DetectionScore]:
+    """Fuzz ``cases`` fault scenarios and shrink every localisation miss."""
 
-    Deterministic like :func:`run_fuzz`: the same (cases, seed) visits
-    the same scenarios everywhere, so a failure's seed plus its shrunk
-    scenario is a complete reproduction recipe.
-    """
-    if cases < 1:
-        raise ValueError("cases must be >= 1")
-    rng = np.random.default_rng(seed)
-    failures: List[FaultFuzzFailure] = []
-    failed_cases = 0
-    for _ in range(cases):
-        scenario = sample_fault_scenario(rng)
+    def check(scenario: FaultScenario) -> Optional[DetectionScore]:
         ok, score = check_fault_scenario(scenario, spec)
-        if ok:
-            continue
-        failed_cases += 1
-        if len(failures) >= max_failures:
-            continue
-        shrunk = shrink_fault_scenario(
-            scenario, lambda s: not check_fault_scenario(s, spec)[0])
-        failures.append(FaultFuzzFailure(
-            scenario=scenario,
-            score=score,
-            shrunk=shrunk,
-            shrunk_score=check_fault_scenario(shrunk, spec)[1],
-        ))
-    return FaultFuzzResult(
-        seed=seed,
-        cases=cases,
-        failed_cases=failed_cases,
-        failures=tuple(failures),
-    )
+        return None if ok else score
+
+    return run_campaign(cases, seed, sample_fault_scenario, check,
+                        fault_scenario_neighbours,
+                        nouns=("scenario", "score"),
+                        finding_json=DetectionScore.to_dict)

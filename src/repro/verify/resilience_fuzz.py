@@ -19,15 +19,15 @@ a small fixed workload; and check the invariants that must hold for
   the shared prefix.
 
 Failures shrink toward a minimal scenario (fewer steps, taxonomy
-fractions zeroed, simpler policy) exactly like the schedule and fault
-fuzzers, so a seed plus the shrunk scenario is a complete reproduction
-recipe for ``repro verify --resilience``.
+fractions zeroed, simpler policy) through the shared campaign runner
+(:mod:`repro.verify.campaign`), so a seed plus the shrunk scenario is a
+complete reproduction recipe for ``repro verify --resilience``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from repro.parallel.config import JobConfig
 from repro.resilience.failures import FailureTaxonomy
 from repro.resilience.policy import parse_policy
 from repro.resilience.run import RunConfig, simulate_run
+from repro.verify.campaign import CampaignResult, run_campaign
 
 #: Small fixed workload: 2 nodes of the paper's 8B shape keeps a full
 #: multi-step run (and its replans) to a handful of step pricings.
@@ -204,7 +205,7 @@ def check_resilience_scenario(
     return not violations, violations
 
 
-def _shrink_candidates(
+def resilience_scenario_neighbours(
     scenario: ResilienceScenario,
 ) -> List[ResilienceScenario]:
     """Strictly-smaller neighbours: fewer steps, taxonomy bands zeroed,
@@ -231,108 +232,26 @@ def _shrink_candidates(
     return sorted(out, key=lambda s: s.cost)
 
 
-def shrink_resilience_scenario(
-    scenario: ResilienceScenario, still_fails,
-) -> ResilienceScenario:
-    """Greedy descent to a minimal still-failing scenario."""
-    current = scenario
-    while True:
-        for candidate in _shrink_candidates(current):
-            if still_fails(candidate):
-                current = candidate
-                break
-        else:
-            return current
-
-
-@dataclass(frozen=True)
-class ResilienceFuzzFailure:
-    """One invariant violation with its minimal shrunk reproducer."""
-
-    scenario: ResilienceScenario
-    violations: Tuple[dict, ...]
-    shrunk: ResilienceScenario
-    shrunk_violations: Tuple[dict, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario.to_dict(),
-            "violations": [dict(v) for v in self.violations],
-            "shrunk_scenario": self.shrunk.to_dict(),
-            "shrunk_violations": [dict(v) for v in self.shrunk_violations],
-        }
-
-
-@dataclass(frozen=True)
-class ResilienceFuzzResult:
-    """Outcome of one taxonomy-sampling campaign."""
-
-    seed: int
-    cases: int
-    failed_cases: int
-    failures: Tuple[ResilienceFuzzFailure, ...]
-
-    @property
-    def ok(self) -> bool:
-        return self.failed_cases == 0
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "cases": self.cases,
-            "failed_cases": self.failed_cases,
-            "ok": self.ok,
-            "failures": [f.to_dict() for f in self.failures],
-        }
-
-
 def run_resilience_fuzz(
     cases: int,
     seed: int = 0,
-    max_failures: int = 10,
-) -> ResilienceFuzzResult:
-    """Fuzz ``cases`` resilient-run scenarios; shrink every violation.
+) -> CampaignResult[ResilienceScenario, Tuple[dict, ...]]:
+    """Fuzz ``cases`` resilient-run scenarios; shrink every violation."""
 
-    Deterministic like the other campaigns: the same (cases, seed)
-    visits the same scenarios everywhere.
-    """
-    if cases < 1:
-        raise ValueError("cases must be >= 1")
-    rng = np.random.default_rng(seed)
-    failures: List[ResilienceFuzzFailure] = []
-    failed_cases = 0
-    for _ in range(cases):
-        scenario = sample_resilience_scenario(rng)
+    def check(scenario: ResilienceScenario) -> Optional[Tuple[dict, ...]]:
         ok, violations = check_resilience_scenario(scenario)
-        if ok:
-            continue
-        failed_cases += 1
-        if len(failures) >= max_failures:
-            continue
-        shrunk = shrink_resilience_scenario(
-            scenario, lambda s: not check_resilience_scenario(s)[0])
-        failures.append(ResilienceFuzzFailure(
-            scenario=scenario,
-            violations=tuple(violations),
-            shrunk=shrunk,
-            shrunk_violations=tuple(
-                check_resilience_scenario(shrunk)[1]),
-        ))
-    return ResilienceFuzzResult(
-        seed=seed,
-        cases=cases,
-        failed_cases=failed_cases,
-        failures=tuple(failures),
-    )
+        return None if ok else tuple(violations)
+
+    return run_campaign(cases, seed, sample_resilience_scenario, check,
+                        resilience_scenario_neighbours,
+                        nouns=("scenario", "violations"))
 
 
 __all__ = [
     "POLICY_POOL",
-    "ResilienceFuzzFailure",
-    "ResilienceFuzzResult",
     "ResilienceScenario",
     "check_resilience_scenario",
+    "resilience_scenario_neighbours",
     "run_resilience_fuzz",
     "sample_resilience_scenario",
-    "shrink_resilience_scenario",
 ]

@@ -1,14 +1,16 @@
 """CLI observability surface: --json, --trace, the trace subcommand, and
 usage-error exit codes (including a real subprocess smoke test)."""
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.obs.trace import assert_valid_trace
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -20,6 +22,29 @@ SMALL_STEP = ["--model", "8b", "--ngpu", "16", "--gbs", "8",
 def _json_out(capsys):
     out = capsys.readouterr().out
     return json.loads(out)
+
+
+#: Small arguments for each subcommand whose ``--json`` help names a
+#: ``repro.<what>/vN`` schema.
+_SCHEMA_HELP_ARGV = {
+    "analyze": ["--model", "8b", "--ngpu", "8", "--gbs", "8",
+                "--tp", "2", "--cp", "1", "--pp", "2", "--dp", "2"],
+    "run": ["--steps", "3", "--mtbf", "1e9"],
+    "schedules": [],
+}
+
+
+def _schemas_named_in_json_help():
+    """(subcommand, schema) for every ``--json`` help naming a schema."""
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    named = []
+    for command, parser in subparsers.choices.items():
+        for action in parser._actions:
+            match = re.search(r"repro\.[a-z_]+/v\d+", action.help or "")
+            if "--json" in action.option_strings and match:
+                named.append((command, match.group(0)))
+    return named
 
 
 class TestJsonFlags:
@@ -59,6 +84,12 @@ class TestJsonFlags:
         assert rep["config"]["elastic"] is False
         assert "productive" in rep["buckets_seconds"]
         assert 0 < rep["goodput"]["fraction"] <= 1
+
+    @pytest.mark.parametrize("command,schema", _schemas_named_in_json_help())
+    def test_json_help_names_the_emitted_schema(self, command, schema,
+                                                capsys):
+        assert main([command, *_SCHEMA_HELP_ARGV[command], "--json"]) == 0
+        assert _json_out(capsys)["schema"] == schema
 
 
 class TestTraceFlags:

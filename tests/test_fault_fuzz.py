@@ -16,12 +16,13 @@ from repro.cli import main
 from repro.faults import ComputeStraggler, PeriodicJitter
 from repro.obs.report import verify_report
 from repro.parallel.mesh import DeviceMesh
+from repro.verify.campaign import shrink
 from repro.verify.fuzz import (
     FaultScenario,
     check_fault_scenario,
+    fault_scenario_neighbours,
     run_fault_fuzz,
     sample_fault_scenario,
-    shrink_fault_scenario,
 )
 
 #: Keep in lockstep with the ci.yml fault-fuzz job invocation.
@@ -78,16 +79,18 @@ class TestShrinking:
         ok, score = check_fault_scenario(scenario)
         assert not ok and score.detected_rank == 6
 
-        shrunk = shrink_fault_scenario(
-            scenario, lambda s: not check_fault_scenario(s)[0])
+        shrunk = shrink(
+            scenario, fault_scenario_neighbours,
+            lambda s: not check_fault_scenario(s)[0])
         assert shrunk.noise == (self.LOUD,)
         assert shrunk.cost < scenario.cost
 
     def test_refuses_to_shrink_a_passing_scenario(self):
         assert check_fault_scenario(self.BASE)[0]
         with pytest.raises(ValueError, match="does not fail"):
-            shrink_fault_scenario(
-                self.BASE, lambda s: not check_fault_scenario(s)[0])
+            shrink(
+                self.BASE, fault_scenario_neighbours,
+                lambda s: not check_fault_scenario(s)[0])
 
 
 class TestReportIntegration:

@@ -16,13 +16,13 @@ import pytest
 from repro.cli import main
 from repro.obs.report import verify_report
 from repro.sim.engine import Simulator
+from repro.verify.campaign import shrink
 from repro.verify.engine_fuzz import (
-    EngineFuzzConfig,
+    case_neighbours,
     check_case,
     load_reference_simulator,
     run_engine_fuzz,
     sample_case,
-    shrink_case,
 )
 
 #: Tier-1 campaign size; the full 500-sequence acceptance campaign runs
@@ -50,17 +50,16 @@ class _CorruptedSimulator(Simulator):
 
 class TestCampaign:
     def test_deterministic_per_seed(self):
-        a = run_engine_fuzz(EngineFuzzConfig(cases=12, seed=5))
-        b = run_engine_fuzz(EngineFuzzConfig(cases=12, seed=5))
+        a = run_engine_fuzz(12, seed=5)
+        b = run_engine_fuzz(12, seed=5)
         assert a.to_dict() == b.to_dict()
 
     def test_ci_campaign_is_clean(self):
-        result = run_engine_fuzz(EngineFuzzConfig(cases=CI_CASES,
-                                                  seed=CI_SEED))
+        result = run_engine_fuzz(CI_CASES, seed=CI_SEED)
         assert result.ok, (
             f"{result.failed_cases} divergences; first: "
-            f"{result.failures[0].describe() if result.failures else '-'}")
-        assert result.cases_run == CI_CASES
+            f"{result.failures[0].shrunk.describe() if result.failures else '-'}")
+        assert result.cases == CI_CASES
 
     def test_sampler_draws_valid_sequences(self):
         rng = np.random.default_rng(123)
@@ -80,12 +79,11 @@ class TestCampaign:
 
 class TestCorruptedEngine:
     def test_detects_and_shrinks_a_corrupted_engine(self):
-        result = run_engine_fuzz(EngineFuzzConfig(cases=30, seed=0),
-                                 engine=_CorruptedSimulator)
+        result = run_engine_fuzz(30, seed=0, engine=_CorruptedSimulator)
         assert not result.ok
         assert result.failed_cases > 0
         failure = result.failures[0]
-        assert failure.problems and failure.shrunk_problems
+        assert failure.finding and failure.shrunk_finding
         assert failure.shrunk.cost <= failure.case.cost
         # The minimal reproducer still diverges on its own.
         assert check_case(failure.shrunk, load_reference_simulator(),
@@ -103,8 +101,8 @@ class TestCorruptedEngine:
                 case = candidate
                 break
         assert case is not None, "sampler never drew a duration > 1.0"
-        shrunk = shrink_case(
-            case,
+        shrunk = shrink(
+            case, case_neighbours,
             lambda c: bool(check_case(c, reference_cls,
                                       engine=_CorruptedSimulator)))
         # Minimal: dropping any further submission makes it pass, so the
@@ -123,15 +121,14 @@ class TestCorruptedEngine:
 
 class TestReportIntegration:
     def test_verify_report_folds_in_engine_fuzz(self):
-        result = run_engine_fuzz(EngineFuzzConfig(cases=4, seed=0))
+        result = run_engine_fuzz(4, seed=0)
         rep = verify_report(None, (), engine_fuzz=result)
         assert rep["ok"] is result.ok
         assert rep["engine_fuzz"]["cases"] == 4
         assert "fuzz" not in rep and "fault_fuzz" not in rep
 
     def test_failing_engine_fuzz_fails_the_report(self):
-        result = run_engine_fuzz(EngineFuzzConfig(cases=30, seed=0),
-                                 engine=_CorruptedSimulator)
+        result = run_engine_fuzz(30, seed=0, engine=_CorruptedSimulator)
         rep = verify_report(None, (), engine_fuzz=result)
         assert rep["ok"] is False
         assert rep["engine_fuzz"]["failed_cases"] > 0

@@ -9,13 +9,13 @@ from repro.pp.schedule import (
     PipelineSchedule,
     build_flexible_schedule,
 )
+from repro.verify.campaign import shrink
 from repro.verify.fuzz import (
     FuzzConfig,
-    _shrink_candidates,
     check_config,
+    config_neighbours,
     run_fuzz,
     sample_config,
-    shrink_config,
 )
 
 
@@ -110,9 +110,9 @@ class TestCorruptionCaught:
         for failure in result.failures:
             # The shrunk config still fails, and no smaller neighbour
             # does — i.e. it is locally minimal.
-            assert not failure.shrunk_report.ok
-            assert failure.shrunk.cost <= failure.config.cost
-            for smaller in _shrink_candidates(failure.shrunk):
+            assert not failure.shrunk_finding.ok
+            assert failure.shrunk.cost <= failure.case.cost
+            for smaller in config_neighbours(failure.shrunk):
                 assert check_config(smaller, _drop_first_backward).ok
 
     def test_hoisted_backward_caught(self):
@@ -127,7 +127,7 @@ class TestCorruptionCaught:
         def failing(c):
             return not check_config(c, _drop_first_backward).ok
 
-        shrunk = shrink_config(cfg, failing)
+        shrunk = shrink(cfg, config_neighbours, failing)
         assert failing(shrunk)
         # Dropping a backward fails for any config, so the shrinker must
         # reach the global minimum.
@@ -135,8 +135,8 @@ class TestCorruptionCaught:
 
     def test_shrink_rejects_passing_config(self):
         with pytest.raises(ValueError):
-            shrink_config(FuzzConfig(pp=2, v=1, nc=2, nmb=4),
-                          lambda c: False)
+            shrink(FuzzConfig(pp=2, v=1, nc=2, nmb=4), config_neighbours,
+                   lambda c: False)
 
 
 class TestDeterminism:

@@ -105,7 +105,7 @@ class TestWarmupOffByOneCaught:
         result = run_fuzz(60, seed=0)
         assert not result.ok
         failure = result.failures[0]
-        assert not failure.shrunk_report.ok
+        assert not failure.shrunk_finding.ok
         # The off-by-one reproduces at the smallest non-capped config
         # (nmb=2 keeps actual=2 distinct from the expected depth of 1;
         # bs=2 == 2*pp puts ZeRO-1 in scope, harmlessly).  The shrink
@@ -114,7 +114,7 @@ class TestWarmupOffByOneCaught:
             "kind": "1f1b", "pp": 1, "v": 1, "nc": 1, "nmb": 2,
             "zero": "ZERO_1"}
         assert "warmup-depth" in {
-            v.check for v in failure.shrunk_report.violations}
+            v.check for v in failure.shrunk_finding.violations}
 
     def test_verify_report_goes_red(self, off_by_one):
         from repro.obs.report import verify_report

@@ -6,13 +6,14 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.verify.campaign import shrink
 from repro.verify.resilience_fuzz import (
     POLICY_POOL,
     ResilienceScenario,
     check_resilience_scenario,
+    resilience_scenario_neighbours,
     run_resilience_fuzz,
     sample_resilience_scenario,
-    shrink_resilience_scenario,
 )
 
 
@@ -89,7 +90,8 @@ class TestShrinking:
             return s.taxonomy.gray_fraction > 0
 
         assert fails_iff_gray(scenario)
-        shrunk = shrink_resilience_scenario(scenario, fails_iff_gray)
+        shrunk = shrink(scenario, resilience_scenario_neighbours,
+                        fails_iff_gray)
         # Everything irrelevant got simplified away...
         assert shrunk.steps == 5
         assert shrunk.policy_spec == "young-daly"
