@@ -197,6 +197,8 @@ def cmd_step(args: argparse.Namespace) -> int:
     print(f"bubble ratio:   {rep.mean_bubble_ratio:.3f}")
     print(f"peak memory:    {rep.max_peak_memory_gb:.1f} GiB "
           f"(worst rank of {par.pp})")
+    print(f"fits in HBM:    {'yes' if rep.fits else 'NO'} "
+          f"({rep.hbm_capacity_gb:.1f} GiB per {cluster.gpu.name})")
     if isinstance(args.trace, str):
         print(f"trace written:  {args.trace} (open in ui.perfetto.dev)")
     return 0

@@ -22,20 +22,17 @@ exact on the timeline.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.faults.models import FaultPlan
 from repro.parallel.mesh import DeviceMesh
-from repro.train.lowering import StepGraph, StepOp, StepOpKind
+from repro.train.lowering import COMPUTE_STREAMS, StepGraph, StepOp
 
 
 def _sim_kind(op: StepOp) -> str:
     """Simulator event kind the executor will use for this op."""
-    if op.kind in (StepOpKind.COMPUTE, StepOpKind.OPTIMIZER):
-        return "compute"
-    return "comm"
+    return "compute" if op.stream in COMPUTE_STREAMS else "comm"
 
 
 def _pp_ranks(fault, mesh: DeviceMesh) -> Optional[FrozenSet[int]]:
@@ -116,7 +113,7 @@ def apply_fault_plan(
             if duration != op.duration:
                 faulted.add(op.uid)
                 extra += duration - op.duration
-                op = dataclasses.replace(op, duration=duration)
+                op = op._replace(duration=duration)
             new_prog.append(op)
         programs.append(tuple(new_prog))
 

@@ -146,6 +146,8 @@ def step_report(
         ],
         "per_rank_peak_memory_gb": list(rep.per_rank_peak_memory_gb),
         "max_peak_memory_gb": rep.max_peak_memory_gb,
+        "hbm_capacity_gb": rep.hbm_capacity_gb,
+        "fits": rep.fits,
         "expert_imbalance": rep.expert_imbalance,
         "dropped_token_fraction": rep.dropped_token_fraction,
         "groups": step_group_metrics(rep, parallel, registry),

@@ -21,7 +21,8 @@ print the curves and the planner's closed-form peak can be cross-checked.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from operator import mul
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.parallel.config import ZeroStage
 from repro.pp.schedule import (
@@ -32,8 +33,7 @@ from repro.pp.schedule import (
 )
 
 
-@dataclass(frozen=True)
-class MemorySample:
+class MemorySample(NamedTuple):
     """Memory state after one schedule op on one rank."""
 
     op_index: int
@@ -98,91 +98,84 @@ def track_memory(
     if shard_degree < 1:
         raise ValueError("shard_degree must be >= 1")
     shape = schedule.shape
+    pp = shape.pp
     program = schedule.program(ppr)
     weights = stage_weights or {}
+    # Membership over tuples compares kinds by identity (no enum hashing).
+    forward = OpKind.FORWARD
+    freeing = tuple(ACTIVATION_FREEING_KINDS)
+    producing = tuple(GRAD_PRODUCING_KINDS)
 
-    # Precompute, per virtual stage, the index within the program of the
-    # backward that ends each consecutive run of micro-batches (ZeRO-2's
-    # reduce-scatter points) and of the final backward (ZeRO-1's single
-    # reduce-scatter point).
-    # Under split backward the weight gradient materialises at BW, so
-    # grad-producing ops (B, or BW) drive reduce-scatter placement while
-    # activation-freeing ops (B, or BI) drive the activation curve.
-    bwd_positions: Dict[int, List[int]] = {vs: [] for vs in range(shape.v)}
-    for idx, op in enumerate(program):
-        if op.kind in GRAD_PRODUCING_KINDS:
-            bwd_positions[op.virtual_stage].append(idx)
-    rs_points: Dict[int, set] = {vs: set() for vs in range(shape.v)}
-    for vs, positions in bwd_positions.items():
-        if not positions:
-            continue
-        if zero is ZeroStage.ZERO_1:
-            rs_points[vs].add(positions[-1])
-        else:
-            # End of each run of backwards of this stage uninterrupted by
-            # another backward of the same stage: runs are delimited by
-            # other ops in between only if a *different* stage's backward
-            # intervenes.  Detect runs over the backward subsequence.
-            bwd_seq = [i for i, op in enumerate(program)
-                       if op.kind in GRAD_PRODUCING_KINDS]
-            stage_of = {i: program[i].virtual_stage for i in bwd_seq}
-            for j, idx in enumerate(bwd_seq):
-                if stage_of[idx] != vs:
-                    continue
-                is_last_of_run = (
-                    j + 1 >= len(bwd_seq) or stage_of[bwd_seq[j + 1]] != vs
-                )
-                if is_last_of_run:
-                    rs_points[vs].add(idx)
+    # Reduce-scatter points, as program indices.  Under split backward
+    # the weight gradient materialises at BW, so grad-producing ops (B,
+    # or BW) drive reduce-scatter placement while activation-freeing ops
+    # (B, or BI) drive the activation curve.  ZeRO-1 reduce-scatters once,
+    # at each virtual stage's final backward.  ZeRO-2 reduce-scatters at
+    # the end of each run of one stage's backwards, a run being cut only
+    # when a *different* stage's backward intervenes.
+    bwd_seq = [(idx, op.virtual_stage) for idx, op in enumerate(program)
+               if op.kind in producing]
+    if zero is ZeroStage.ZERO_1:
+        rs_points = set({vs: idx for idx, vs in bwd_seq}.values())
+    else:
+        rs_points = {
+            idx for j, (idx, vs) in enumerate(bwd_seq)
+            if j + 1 == len(bwd_seq) or bwd_seq[j + 1][1] != vs
+        }
 
-    grad_state: Dict[int, str] = {}  # vs -> "unsharded" | "sharded"
-    act_in_flight: Dict[int, int] = {vs: 0 for vs in range(shape.v)}
+    # Per-stage byte sizes, priced once.  The running totals below are
+    # recomputed in full (same terms, same order) whenever their state
+    # changes, so every sample matches a from-scratch sum bit for bit.
+    grad_full = [grad_bytes_per_stage * weights.get(vs, 1.0)
+                 for vs in range(shape.v)]
+    grad_sharded = [size / shard_degree for size in grad_full]
+    act_unit = [act_bytes_per_microbatch * weights.get(vs, 1.0)
+                for vs in range(shape.v)]
+    # vs -> True while its gradient buffer is unsharded; insertion order
+    # (first backward) is the summation order.
+    grad_state: Dict[int, bool] = {}
+    act_in_flight = [0] * shape.v
+    grad_bytes = 0.0
+    act_bytes = sum(map(mul, act_unit, act_in_flight))
     samples: List[MemorySample] = []
+    new = tuple.__new__
     rs_count = 0
 
-    def stage_scale(vs: int) -> float:
-        return weights.get(vs, 1.0)
-
-    def grad_total() -> float:
-        total = 0.0
-        for vs, state in grad_state.items():
-            size = grad_bytes_per_stage * stage_scale(vs)
-            total += size if state == "unsharded" else size / shard_degree
-        return total
-
-    def act_total() -> float:
-        return sum(
-            act_bytes_per_microbatch * stage_scale(vs) * count
-            for vs, count in act_in_flight.items()
-        )
-
     for idx, op in enumerate(program):
+        kind = op.kind
+        vs = op.virtual_stage
         launched_rs = False
-        if op.kind is OpKind.FORWARD:
-            act_in_flight[op.virtual_stage] += 1
-        if op.kind in ACTIVATION_FREEING_KINDS:
-            act_in_flight[op.virtual_stage] -= 1
-            if act_in_flight[op.virtual_stage] < 0:
+        if kind is forward:
+            act_in_flight[vs] += 1
+            act_bytes = sum(map(mul, act_unit, act_in_flight))
+        elif kind in freeing:
+            act_in_flight[vs] -= 1
+            if act_in_flight[vs] < 0:
                 raise ValueError(
                     f"rank {ppr}: backward without live forward at op {idx}"
                 )
-        if op.kind in GRAD_PRODUCING_KINDS:
-            if grad_state.get(op.virtual_stage) != "unsharded":
-                grad_state[op.virtual_stage] = "unsharded"
-            if idx in rs_points[op.virtual_stage]:
+            act_bytes = sum(map(mul, act_unit, act_in_flight))
+        if kind in producing:
+            changed = grad_state.get(vs) is not True
+            grad_state[vs] = True
+            if idx in rs_points:
                 launched_rs = True
                 rs_count += 1
                 if zero is not ZeroStage.ZERO_1:
-                    grad_state[op.virtual_stage] = "sharded"
-        samples.append(
-            MemorySample(
-                op_index=idx,
-                op_label=op.label(shape.pp),
-                grad_bytes=grad_total(),
-                activation_bytes=act_total(),
-                reduce_scatter_launched=launched_rs,
-            )
-        )
+                    grad_state[vs] = False
+                    changed = True
+            if changed:
+                grad_bytes = 0.0
+                for stage, unsharded in grad_state.items():
+                    grad_bytes += (grad_full[stage] if unsharded
+                                   else grad_sharded[stage])
+        # ``_value_`` is the enum member's value ("F", "B", ...) without
+        # the ``value`` property's descriptor call; the label equals
+        # ``op.label(pp)``.
+        label = (f"{kind._value_}:mb{op.microbatch}"
+                 f":s{vs * pp + op.ppr}")
+        samples.append(new(MemorySample, (
+            idx, label, grad_bytes, act_bytes, launched_rs)))
 
     return MemoryTimeline(
         ppr=ppr, zero=zero, samples=tuple(samples),

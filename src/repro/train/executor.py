@@ -34,34 +34,14 @@ from repro.pp.schedule import PipelineOp, PipelineSchedule
 from repro.sim.engine import Simulator, TraceEvent
 from repro.train.cost import StageCost
 from repro.train.lowering import (
-    PIPELINE_KINDS,
+    COMPUTE_STREAMS,
+    PIPELINE_STREAMS,
     StepGraph,
     StepOpKind,
     lower_pipeline,
 )
 
 CostFn = Callable[[StageAssignment], StageCost]
-
-#: Simulator event kind for each op kind: computation occupies its stream
-#: as ``compute``; priced communication is ``comm`` (overlap with compute
-#: is what the timeline decides); synthesized waits are ``exposed_comm``.
-_EVENT_KIND = {
-    StepOpKind.COMPUTE: "compute",
-    StepOpKind.OPTIMIZER: "compute",
-}
-
-#: per_rank_comm key for each communication op kind.
-_COMM_KEY = {
-    StepOpKind.TP_ALLGATHER: "tp",
-    StepOpKind.TP_REDUCESCATTER: "tp",
-    StepOpKind.CP_COMM: "cp",
-    StepOpKind.MOE_DISPATCH: "ep",
-    StepOpKind.MOE_COMBINE: "ep",
-    StepOpKind.P2P_SEND: "p2p",
-    StepOpKind.FSDP_ALLGATHER: "fsdp",
-    StepOpKind.FSDP_REDUCESCATTER: "fsdp",
-}
-
 
 @dataclass(frozen=True)
 class GraphExecution:
@@ -75,9 +55,10 @@ class GraphExecution:
     wait_events: Tuple[TraceEvent, ...]
 
     def events_of_kind(self, *kinds: StepOpKind) -> List[TraceEvent]:
-        wanted = frozenset(kinds)
-        return [self.events[op.uid] for op in self.graph.ops()
-                if op.kind in wanted]
+        # ``in`` over the tuple compares kinds by identity; no enum hashing.
+        events = self.events
+        return [events[op.uid] for prog in self.graph.programs
+                for op in prog if op.kind in kinds]
 
 
 def execute_graph(
@@ -187,15 +168,17 @@ def execute_graph(
                         if metrics is not None:
                             exposed_p2p.inc(wait.duration, rank=rank)
                 duration = op.duration
-                if op.kind is StepOpKind.COMPUTE:
+                stream = op.stream
+                if stream == "compute":
                     duration *= scale
                 tags = op_tags.get(op.uid, ()) if has_tags else ()
                 event = run(
                     rank=rank,
-                    stream=op.stream,
+                    stream=stream,
                     duration=duration,
                     name=op.name,
-                    kind=_EVENT_KIND.get(op.kind, "comm"),
+                    kind=("compute" if stream in COMPUTE_STREAMS
+                          else "comm"),
                     after=deps,
                     not_before=floor,
                     tags=tags,
@@ -303,19 +286,26 @@ def summarize_pipeline_execution(
     op_events: Dict[PipelineOp, TraceEvent] = {}
     makespan = 0.0
     start_time: Optional[float] = None
-    for op in execution.graph.ops():
-        event = execution.events[op.uid]
-        if op.kind is StepOpKind.COMPUTE:
-            busy[op.rank] += event.duration
-            if op.pipeline_op is not None:
-                op_events[op.pipeline_op] = event
-            if start_time is None or event.start < start_time:
-                start_time = event.start
-        elif op.kind in _COMM_KEY:
-            key = _COMM_KEY[op.kind]
-            comm[op.rank][key] = comm[op.rank].get(key, 0.0) + event.duration
-        if op.kind in PIPELINE_KINDS:
-            makespan = max(makespan, event.end)
+    events = execution.events
+    # Branch on the op's stream: COMPUTE is the only op on ``compute``,
+    # the optimizer the only one on ``opt``, and every other stream is
+    # communication keyed by its own name (see repro.train.lowering).
+    for prog in execution.graph.programs:
+        for op in prog:
+            event = events[op.uid]
+            stream = op.stream
+            if stream == "compute":
+                busy[op.rank] += event.duration
+                if op.pipeline_op is not None:
+                    op_events[op.pipeline_op] = event
+                if start_time is None or event.start < start_time:
+                    start_time = event.start
+            elif stream not in COMPUTE_STREAMS:
+                rank_comm = comm[op.rank]
+                rank_comm[stream] = (
+                    rank_comm.get(stream, 0.0) + event.duration)
+            if stream in PIPELINE_STREAMS and event.end > makespan:
+                makespan = event.end
     for wait in execution.wait_events:
         comm[wait.rank]["exposed_p2p"] = (
             comm[wait.rank].get("exposed_p2p", 0.0) + wait.duration)

@@ -26,6 +26,13 @@ Two lowerings are provided:
   backward, and the optimizer once every reduce-scatter on the rank has
   finished.
 
+Ops are built once and never change.  Lowering first plans every rank's
+program positions (so each op's uid, and the uid of every send a later
+rank produces, is known up front), then constructs each :class:`StepOp`
+exactly once with its final uid, stream, name and complete dependency
+tuple.  A rewrite such as fault injection derives new ops with
+``op._replace(...)`` and leaves the lowered graph untouched.
+
 Simplifications, stated so they can be revisited: prefetch depth is
 unbounded (all parameter all-gathers are enqueued up front; real FSDP
 caps in-flight gathers to bound memory), and under ZeRO-3 one all-gather
@@ -35,9 +42,17 @@ round's micro-batches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
 from repro.parallel.config import ZeroStage
 from repro.pp.layout import PipelineLayout, StageAssignment
@@ -67,7 +82,8 @@ class StepOpKind(Enum):
     OPTIMIZER = "optimizer"
 
 
-#: Stream each op kind executes on.
+#: Stream each op kind executes on.  The stream is the one per-kind fact
+#: the rest of the stack keys on (see the two sets below).
 STREAM_OF_KIND: Dict[StepOpKind, str] = {
     StepOpKind.COMPUTE: "compute",
     StepOpKind.TP_ALLGATHER: "tp",
@@ -81,21 +97,27 @@ STREAM_OF_KIND: Dict[StepOpKind, str] = {
     StepOpKind.OPTIMIZER: "opt",
 }
 
+#: Streams whose ops the simulator records as computation (event kind
+#: ``"compute"``).  Every other stream carries priced communication: its
+#: ops are ``"comm"`` events, and the stream name is the op's
+#: :attr:`~repro.train.executor.PipelineRun.per_rank_comm` key.
+COMPUTE_STREAMS = frozenset({"compute", "opt"})
+
+#: Streams of the pipeline region of a step timeline; the ``fsdp`` and
+#: ``opt`` streams hold the step's head and tail around it.
+PIPELINE_STREAMS = frozenset({"compute", "tp", "cp", "ep", "p2p"})
+
 #: Op kinds that belong to the pipeline region of a step timeline.
-PIPELINE_KINDS = frozenset({
-    StepOpKind.COMPUTE,
-    StepOpKind.TP_ALLGATHER,
-    StepOpKind.TP_REDUCESCATTER,
-    StepOpKind.CP_COMM,
-    StepOpKind.MOE_DISPATCH,
-    StepOpKind.MOE_COMBINE,
-    StepOpKind.P2P_SEND,
-})
+PIPELINE_KINDS = frozenset(
+    kind for kind, stream in STREAM_OF_KIND.items()
+    if stream in PIPELINE_STREAMS)
 
 
-@dataclass(frozen=True)
-class StepOp:
+class StepOp(NamedTuple):
     """One typed op in a rank's program.
+
+    Immutable: lowering builds each op once, in final form, and assigning
+    to a field raises.  Derive a changed op with ``op._replace(...)``.
 
     Attributes:
         uid: Graph-wide unique id; ``deps`` reference these.
@@ -141,83 +163,138 @@ class StepGraph:
         return {op.uid: op for op in self.ops()}
 
 
-@dataclass
-class _OpRec:
-    """Mutable op record during lowering; frozen into StepOp at the end."""
+#: Pipeline op kinds, in the order their chain specs are indexed.
+_PIPELINE_OP_KINDS = (OpKind.FORWARD, OpKind.BACKWARD,
+                      OpKind.BACKWARD_INPUT, OpKind.BACKWARD_WEIGHT)
 
-    kind: StepOpKind
-    rank: int
-    duration: float
-    name: str
-    deps: List["_OpRec"] = field(default_factory=list)
-    pipeline_op: Optional[PipelineOp] = None
-    wait_name: Optional[str] = None
-    uid: int = -1
-
-
-def _freeze(programs: List[List[_OpRec]]) -> StepGraph:
-    uid = 0
-    for prog in programs:
-        for rec in prog:
-            rec.uid = uid
-            uid += 1
-    return StepGraph(programs=tuple(
-        tuple(
-            StepOp(
-                uid=rec.uid,
-                kind=rec.kind,
-                rank=rec.rank,
-                stream=STREAM_OF_KIND[rec.kind],
-                duration=rec.duration,
-                name=rec.name,
-                deps=tuple(d.uid for d in rec.deps),
-                pipeline_op=rec.pipeline_op,
-                wait_name=rec.wait_name,
-            )
-            for rec in prog
-        )
-        for prog in programs
-    ))
+#: Stage offset each kind's output travels to on another rank: forward
+#: activations flow down the pipeline and B/BI input gradients flow up.
+#: BW weight gradients never leave the rank: BW reads only the stage's
+#: own saved activations and the already-received gradient, so it has no
+#: cross-rank producer or consumer.
+_FLOW = {OpKind.FORWARD: 1, OpKind.BACKWARD: -1,
+         OpKind.BACKWARD_INPUT: -1, OpKind.BACKWARD_WEIGHT: 0}
 
 
-@dataclass
-class _Chains:
-    """Intermediate chain bookkeeping shared by the two lowerings."""
+class _ChainSpec(NamedTuple):
+    """Everything lowering needs for one (op kind, stage), priced once."""
 
-    programs: List[List[_OpRec]]
-    head: Dict[PipelineOp, _OpRec]
-    compute: Dict[PipelineOp, _OpRec]
-
-
-def _producer_key(
-    op: PipelineOp, stage: int, last_stage: int
-) -> Optional[Tuple[OpKind, int]]:
-    """(kind, stage) whose output this op consumes cross-rank, if any.
-
-    Forwards consume the previous stage's forward activation; backwards
-    (monolithic B, or the input-grad half BI under split backward)
-    consume the next stage's gradient of the same kind.  The weight-grad
-    half BW is rank-local — it reads only the stage's own saved
-    activations and the already-received gradient, so it has no
-    cross-rank producer.
-    """
-    if op.kind is OpKind.FORWARD:
-        return (OpKind.FORWARD, stage - 1) if stage > 0 else None
-    if op.kind is OpKind.BACKWARD_WEIGHT:
-        return None
-    return (op.kind, stage + 1) if stage < last_stage else None
+    tp_half: float
+    cp: float
+    ep_half: float
+    compute: float
+    #: Trace label around the micro-batch number: ``"F:mb"``, ``":s3"``.
+    label_prefix: str
+    label_suffix: str
+    #: Index of this spec, and of the spec whose send this chain consumes
+    #: (-1: no cross-rank producer).
+    index: int
+    producer: int
+    sends: bool
+    produces_grad: bool
+    #: Ops in the chain (the send excluded).
+    length: int
 
 
-def _lower_chains(
+def _chain_specs(
+    schedule: PipelineSchedule,
+    layout: PipelineLayout,
+    forward_cost: CostFn,
+    backward_cost: CostFn,
+    backward_input_cost: Optional[CostFn],
+    backward_weight_cost: Optional[CostFn],
+) -> Tuple[List[_ChainSpec], ...]:
+    """Chain specs per stage for F, B, BI and BW (BI/BW only under split
+    backward), each list indexed by global stage."""
+    num_stages = layout.num_stages
+    last_stage = num_stages - 1
+    split = schedule.uses_split_backward
+    costs: Tuple[List[StageCost], ...] = ([], [], [], [])
+    for s in range(num_stages):
+        stage = layout.stage(s)
+        costs[0].append(forward_cost(stage))
+        costs[1].append(backward_cost(stage))
+        if split:
+            # Explicit BI/BW pricing when the caller supplies it (the
+            # CostModel's memoized halves); otherwise the exact-sum split
+            # of the monolithic backward.
+            bi = bw = None
+            if backward_input_cost is not None:
+                bi = backward_input_cost(stage)
+            if backward_weight_cost is not None:
+                bw = backward_weight_cost(stage)
+            if bi is None or bw is None:
+                split_bi, split_bw = split_backward_cost(costs[1][s])
+                bi = split_bi if bi is None else bi
+                bw = split_bw if bw is None else bw
+            costs[2].append(bi)
+            costs[3].append(bw)
+
+    specs: Tuple[List[_ChainSpec], ...] = ([], [], [], [])
+    for k, kind in enumerate(_PIPELINE_OP_KINDS):
+        flow = _FLOW[kind]
+        for s, cost in enumerate(costs[k]):
+            producer = s - flow
+            consumer = s + flow
+            length = 1
+            if cost.tp_comm_seconds > 0:
+                length += 2
+            if cost.cp_comm_seconds > 0:
+                length += 1
+            if cost.ep_comm_seconds > 0:
+                length += 2
+            specs[k].append(_ChainSpec(
+                tp_half=cost.tp_comm_seconds / 2,
+                cp=cost.cp_comm_seconds,
+                ep_half=cost.ep_comm_seconds / 2,
+                compute=cost.compute_seconds,
+                label_prefix=f"{kind.value}:mb",
+                label_suffix=f":s{s}",
+                index=k * num_stages + s,
+                producer=(k * num_stages + producer
+                          if flow and 0 <= producer <= last_stage else -1),
+                sends=bool(flow) and 0 <= consumer <= last_stage,
+                produces_grad=kind in GRAD_PRODUCING_KINDS,
+                length=length,
+            ))
+    return specs
+
+
+@dataclass(frozen=True)
+class _StepCosts:
+    """The step-only pricing :func:`lower_step` adds to the pipeline."""
+
+    zero: ZeroStage
+    fsdp_allgather: Callable[[StageAssignment], float]
+    fsdp_reduce_scatter: Callable[[StageAssignment], float]
+    optimizer: Callable[[int], float]
+
+
+class _RankPlan(NamedTuple):
+    """Pass-one result for one rank: what pass two emits, and where."""
+
+    specs: List[_ChainSpec]
+    #: (stage, round) -> program index of its first use (step only).
+    first_use: Dict[Tuple[int, Optional[int]], int]
+    #: stage -> program index of its last grad-producing op (step only).
+    last_backward: Dict[int, int]
+    #: uid of the rank's first op, and of its first pipeline-chain op.
+    offset: int
+    chain_base: int
+
+
+def _lower(
     schedule: PipelineSchedule,
     layout: PipelineLayout,
     forward_cost: CostFn,
     backward_cost: CostFn,
     p2p_seconds: float,
-    backward_input_cost: Optional[CostFn] = None,
-    backward_weight_cost: Optional[CostFn] = None,
-) -> _Chains:
-    """Lower every pipeline op into its per-stream chain plus P2P sends.
+    backward_input_cost: Optional[CostFn],
+    backward_weight_cost: Optional[CostFn],
+    step: Optional[_StepCosts],
+) -> StepGraph:
+    """Lower every pipeline op into its per-stream chain plus P2P sends,
+    and (given ``step``) the FSDP gathers, reduce-scatters and optimizer.
 
     The chain ``tp:ag -> cp:kv -> ep:dispatch -> compute -> ep:combine
     -> tp:rs`` serializes through dependency edges (the EP links appear
@@ -227,122 +304,174 @@ def _lower_chains(
     depends on the chain tail (the sequence-parallel reduce-scatter
     completes the activation before it can ship) and never blocks the
     producer's next op.
+
+    Pass one walks each program once to fix every op's position: the
+    uid of each rank's first op and of every P2P send, keyed by (spec
+    index, micro-batch) — a consumer's producer may sit on a later rank.
+    Pass two builds each op once, in final form.
     """
     if layout.pp != schedule.pp or layout.v != schedule.shape.v:
         raise ValueError("layout and schedule disagree on pp or v")
     pp = schedule.pp
-    last_stage = layout.num_stages - 1
     shape = schedule.shape
     hetero = shape.is_heterogeneous
-    split = schedule.uses_split_backward
+    fwd_specs, bwd_specs, bi_specs, bw_specs = _chain_specs(
+        schedule, layout, forward_cost, backward_cost,
+        backward_input_cost, backward_weight_cost)
+    forward = OpKind.FORWARD
+    backward = OpKind.BACKWARD
+    backward_input = OpKind.BACKWARD_INPUT
+    nc = shape.nc
+    per_round = step is not None and step.zero is ZeroStage.ZERO_3
 
-    fwd_cost: Dict[int, StageCost] = {}
-    bwd_cost: Dict[int, StageCost] = {}
-    bi_cost: Dict[int, StageCost] = {}
-    bw_cost: Dict[int, StageCost] = {}
-    for s in range(layout.num_stages):
-        fwd_cost[s] = forward_cost(layout.stage(s))
-        bwd_cost[s] = backward_cost(layout.stage(s))
-        if split:
-            # Explicit BI/BW pricing when the caller supplies it (the
-            # CostModel's memoized halves); otherwise the exact-sum split
-            # of the monolithic backward.
-            if backward_input_cost is not None:
-                bi_cost[s] = backward_input_cost(layout.stage(s))
-            if backward_weight_cost is not None:
-                bw_cost[s] = backward_weight_cost(layout.stage(s))
-            if backward_input_cost is None or backward_weight_cost is None:
-                bi, bw = split_backward_cost(bwd_cost[s])
-                bi_cost.setdefault(s, bi)
-                bw_cost.setdefault(s, bw)
-
-    programs: List[List[_OpRec]] = [[] for _ in range(pp)]
-    head: Dict[PipelineOp, _OpRec] = {}
-    compute: Dict[PipelineOp, _OpRec] = {}
-    sends: Dict[Tuple[OpKind, int, int], _OpRec] = {}
-
-    kind_cost = {
-        OpKind.FORWARD: fwd_cost,
-        OpKind.BACKWARD: bwd_cost,
-        OpKind.BACKWARD_INPUT: bi_cost,
-        OpKind.BACKWARD_WEIGHT: bw_cost,
-    }
+    # Pass one: positions.  A send's position is kept as (rank, index in
+    # the rank's pipeline region) until every rank's offset is known.
+    plans: List[_RankPlan] = []
+    sends: Dict[Tuple[int, int], Tuple[int, int]] = {}
+    offset = 0
     for ppr in range(pp):
-        prev_tail: Optional[_OpRec] = None
-        for op in schedule.program(ppr):
-            stage = op.global_stage(pp)
-            cost = kind_cost[op.kind][stage]
-            compute_seconds = cost.compute_seconds
+        specs: List[_ChainSpec] = []
+        first_use: Dict[Tuple[int, Optional[int]], int] = {}
+        last_backward: Dict[int, int] = {}
+        pos = 0
+        for idx, op in enumerate(schedule.program(ppr)):
+            stage = op.virtual_stage * pp + op.ppr
+            kind = op.kind
+            if kind is forward:
+                spec = fwd_specs[stage]
+            elif kind is backward:
+                spec = bwd_specs[stage]
+            elif kind is backward_input:
+                spec = bi_specs[stage]
+            else:
+                spec = bw_specs[stage]
+            specs.append(spec)
+            pos += spec.length
+            if spec.sends:
+                sends[(spec.index, op.microbatch)] = (ppr, pos)
+                pos += 1
+            if step is not None:
+                first_use.setdefault(
+                    (stage, op.microbatch // nc if per_round else None),
+                    idx)
+                if spec.produces_grad:
+                    last_backward[stage] = idx
+        chain_base = offset + len(first_use)
+        plans.append(_RankPlan(specs, first_use, last_backward, offset,
+                               chain_base))
+        offset = chain_base + pos
+        if step is not None:
+            offset += len(last_backward) + 1
+    chain_bases = [plan.chain_base for plan in plans]
+
+    # Pass two: build every op once.  ``new(StepOp, fields)`` is the
+    # tuple constructor without the keyword-argument frame.
+    new = tuple.__new__
+    programs: List[Tuple[StepOp, ...]] = []
+    for ppr, plan in enumerate(plans):
+        prog = schedule.program(ppr)
+        ops: List[StepOp] = []
+        emit = ops.append
+        uid = plan.offset
+        gather_uid: Dict[int, int] = {}
+        for (stage, rnd), idx in plan.first_use.items():
+            name = (f"fsdp:ag:s{stage}:r{rnd}" if rnd is not None
+                    else f"fsdp:ag:s{stage}")
+            emit(new(StepOp, (
+                uid, StepOpKind.FSDP_ALLGATHER, ppr, "fsdp",
+                step.fsdp_allgather(layout.stage(stage)), name, (), None,
+                None)))
+            gather_uid[idx] = uid
+            uid += 1
+
+        compute_uids: List[int] = []
+        tail: Tuple[int, ...] = ()
+        for idx, (op, spec) in enumerate(zip(prog, plan.specs)):
+            (tp_half, cp, ep_half, compute, prefix, suffix, _,
+             producer, sends_out, _, _) = spec
+            mb = op.microbatch
+            label = f"{prefix}{mb}{suffix}"
+            deps = tail
+            wait = None
+            if producer >= 0:
+                found = sends.get((producer, mb))
+                if found is None:
+                    raise ValueError(
+                        f"op {label} consumes {prefix}{mb}"
+                        f":s{producer % layout.num_stages}"
+                        " which no rank produces")
+                deps += (chain_bases[found[0]] + found[1],)
+                wait = f"p2p:wait:{label}"
+            if tp_half > 0:
+                emit(new(StepOp, (uid, StepOpKind.TP_ALLGATHER, ppr, "tp",
+                                  tp_half, f"tp:ag:{label}", deps, None,
+                                  wait)))
+                deps = (uid,)
+                wait = None
+                uid += 1
+            if cp > 0:
+                emit(new(StepOp, (uid, StepOpKind.CP_COMM, ppr, "cp", cp,
+                                  f"cp:kv:{label}", deps, None, wait)))
+                deps = (uid,)
+                wait = None
+                uid += 1
+            if ep_half > 0:
+                emit(new(StepOp, (uid, StepOpKind.MOE_DISPATCH, ppr, "ep",
+                                  ep_half, f"ep:dispatch:{label}", deps,
+                                  None, wait)))
+                deps = (uid,)
+                wait = None
+                uid += 1
+            if idx in gather_uid:
+                deps += (gather_uid[idx],)
             if hetero:
                 # Heterogeneous stages/micro-batches scale the compute
                 # kernel only; comm volume is unchanged by FLOPs mix.
-                compute_seconds *= shape.compute_scale(stage, op.microbatch)
-            label = op.label(pp)
-            chain: List[_OpRec] = []
-            if cost.tp_comm_seconds > 0:
-                chain.append(_OpRec(
-                    StepOpKind.TP_ALLGATHER, ppr,
-                    cost.tp_comm_seconds / 2, f"tp:ag:{label}"))
-            if cost.cp_comm_seconds > 0:
-                chain.append(_OpRec(
-                    StepOpKind.CP_COMM, ppr,
-                    cost.cp_comm_seconds, f"cp:kv:{label}"))
-            if cost.ep_comm_seconds > 0:
-                chain.append(_OpRec(
-                    StepOpKind.MOE_DISPATCH, ppr,
-                    cost.ep_comm_seconds / 2, f"ep:dispatch:{label}"))
-            comp = _OpRec(StepOpKind.COMPUTE, ppr, compute_seconds,
-                          label, pipeline_op=op)
-            chain.append(comp)
-            if cost.ep_comm_seconds > 0:
-                chain.append(_OpRec(
-                    StepOpKind.MOE_COMBINE, ppr,
-                    cost.ep_comm_seconds / 2, f"ep:combine:{label}"))
-            if cost.tp_comm_seconds > 0:
-                chain.append(_OpRec(
-                    StepOpKind.TP_REDUCESCATTER, ppr,
-                    cost.tp_comm_seconds / 2, f"tp:rs:{label}"))
-            for prev, cur in zip(chain, chain[1:]):
-                cur.deps.append(prev)
-            if prev_tail is not None:
-                chain[0].deps.append(prev_tail)
-            if _producer_key(op, stage, last_stage) is not None:
-                chain[0].wait_name = f"p2p:wait:{label}"
-            head[op] = chain[0]
-            compute[op] = comp
-            prev_tail = chain[-1]
-            programs[ppr].extend(chain)
-            # Does anyone consume this op's output cross-rank?  Forward
-            # activations flow down, B/BI gradients flow up, and BW
-            # weight gradients never leave the rank.
-            if op.kind is OpKind.FORWARD:
-                consumer_exists = stage < last_stage
-            elif op.kind is OpKind.BACKWARD_WEIGHT:
-                consumer_exists = False
-            else:
-                consumer_exists = stage > 0
-            if consumer_exists:
-                send = _OpRec(StepOpKind.P2P_SEND, ppr, p2p_seconds,
-                              f"p2p:send:{label}", deps=[prev_tail])
-                sends[(op.kind, stage, op.microbatch)] = send
-                programs[ppr].append(send)
+                compute *= shape.compute_scale(
+                    op.virtual_stage * pp + op.ppr, mb)
+            emit(new(StepOp, (uid, StepOpKind.COMPUTE, ppr, "compute",
+                              compute, label, deps, op, wait)))
+            compute_uids.append(uid)
+            uid += 1
+            if ep_half > 0:
+                emit(new(StepOp, (uid, StepOpKind.MOE_COMBINE, ppr, "ep",
+                                  ep_half, f"ep:combine:{label}",
+                                  (uid - 1,), None, None)))
+                uid += 1
+            if tp_half > 0:
+                emit(new(StepOp, (uid, StepOpKind.TP_REDUCESCATTER, ppr,
+                                  "tp", tp_half, f"tp:rs:{label}",
+                                  (uid - 1,), None, None)))
+                uid += 1
+            tail = (uid - 1,)
+            if sends_out:
+                emit(new(StepOp, (uid, StepOpKind.P2P_SEND, ppr, "p2p",
+                                  p2p_seconds, f"p2p:send:{label}", tail,
+                                  None, None)))
+                uid += 1
 
-    # Second sweep: wire each consumer's chain head to its producer's send
-    # (the producing rank may appear later in rank order).
-    for ppr in range(pp):
-        for op in schedule.program(ppr):
-            key = _producer_key(op, op.global_stage(pp), last_stage)
-            if key is None:
-                continue
-            send = sends.get((key[0], key[1], op.microbatch))
-            if send is None:
-                raise ValueError(
-                    f"op {op.label(pp)} consumes "
-                    f"{key[0].value}:mb{op.microbatch}:s{key[1]} "
-                    "which no rank produces")
-            head[op].deps.append(send)
-
-    return _Chains(programs=programs, head=head, compute=compute)
+        if step is not None:
+            # Gradient reduce-scatters after each stage's last backward,
+            # ordered by that backward's program position (the
+            # interpreter walks each program in order, so an
+            # earlier-listed reduce-scatter must not wait on a later
+            # backward).  Under split backward the weight gradient is only
+            # complete once the BW half has run, so BW (not BI) gates the
+            # reduce-scatter.
+            rs_uids = []
+            for stage, idx in sorted(plan.last_backward.items(),
+                                     key=lambda item: item[1]):
+                emit(new(StepOp, (
+                    uid, StepOpKind.FSDP_REDUCESCATTER, ppr, "fsdp",
+                    step.fsdp_reduce_scatter(layout.stage(stage)),
+                    f"fsdp:rs:s{stage}", (compute_uids[idx],), None, None)))
+                rs_uids.append(uid)
+                uid += 1
+            emit(new(StepOp, (uid, StepOpKind.OPTIMIZER, ppr, "opt",
+                              step.optimizer(ppr), "optimizer",
+                              tuple(rs_uids), None, None)))
+        programs.append(tuple(ops))
+    return StepGraph(programs=tuple(programs))
 
 
 def lower_pipeline(
@@ -360,11 +489,9 @@ def lower_pipeline(
     Split-backward schedules price BI/BW ops from the optional cost
     callables, defaulting to the exact-sum split of ``backward_cost``.
     """
-    return _freeze(_lower_chains(
-        schedule, layout, forward_cost, backward_cost, p2p_seconds,
-        backward_input_cost=backward_input_cost,
-        backward_weight_cost=backward_weight_cost,
-    ).programs)
+    return _lower(schedule, layout, forward_cost, backward_cost,
+                  p2p_seconds, backward_input_cost, backward_weight_cost,
+                  step=None)
 
 
 def lower_step(
@@ -404,54 +531,7 @@ def lower_step(
         fsdp_reduce_scatter_cost: Stage -> one gradient reduce-scatter.
         optimizer_cost: Pipeline rank -> optimizer step in seconds.
     """
-    chains = _lower_chains(
-        schedule, layout, forward_cost, backward_cost, p2p_seconds,
-        backward_input_cost=backward_input_cost,
-        backward_weight_cost=backward_weight_cost)
-    pp = schedule.pp
-    nc = schedule.shape.nc
-    per_round = zero is ZeroStage.ZERO_3
-
-    for ppr in range(pp):
-        prog = schedule.program(ppr)
-
-        # Parameter all-gathers, in order of each key's first use.
-        first_use: Dict[Tuple[int, Optional[int]], PipelineOp] = {}
-        for op in prog:
-            key = (op.global_stage(pp),
-                   op.microbatch // nc if per_round else None)
-            first_use.setdefault(key, op)
-        ag_recs: List[_OpRec] = []
-        for (stage, rnd), op in first_use.items():
-            name = (f"fsdp:ag:s{stage}:r{rnd}" if rnd is not None
-                    else f"fsdp:ag:s{stage}")
-            ag = _OpRec(StepOpKind.FSDP_ALLGATHER, ppr,
-                        fsdp_allgather_cost(layout.stage(stage)), name)
-            ag_recs.append(ag)
-            chains.compute[op].deps.append(ag)
-        chains.programs[ppr] = ag_recs + chains.programs[ppr]
-
-        # Gradient reduce-scatters after each stage's last backward,
-        # ordered by that backward's program position (the interpreter
-        # walks each program in order, so an earlier-listed reduce-scatter
-        # must not wait on a later backward).
-        # Under split backward the weight gradient is only complete once
-        # the BW half has run, so BW (not BI) gates the reduce-scatter.
-        last_backward: Dict[int, Tuple[int, PipelineOp]] = {}
-        for idx, op in enumerate(prog):
-            if op.kind in GRAD_PRODUCING_KINDS:
-                last_backward[op.global_stage(pp)] = (idx, op)
-        rs_recs = [
-            _OpRec(StepOpKind.FSDP_REDUCESCATTER, ppr,
-                   fsdp_reduce_scatter_cost(layout.stage(stage)),
-                   f"fsdp:rs:s{stage}", deps=[chains.compute[op]])
-            for stage, (_, op) in sorted(
-                last_backward.items(), key=lambda kv: kv[1][0])
-        ]
-        chains.programs[ppr].extend(rs_recs)
-
-        chains.programs[ppr].append(_OpRec(
-            StepOpKind.OPTIMIZER, ppr, optimizer_cost(ppr), "optimizer",
-            deps=list(rs_recs)))
-
-    return _freeze(chains.programs)
+    return _lower(schedule, layout, forward_cost, backward_cost,
+                  p2p_seconds, backward_input_cost, backward_weight_cost,
+                  step=_StepCosts(zero, fsdp_allgather_cost,
+                                  fsdp_reduce_scatter_cost, optimizer_cost))

@@ -92,6 +92,9 @@ class StepReport:
     #: the model's ``capacity_factor`` (0.0 for dense models) — the MoE
     #: training-quality signal next to the throughput numbers.
     dropped_token_fraction: float = 0.0
+    #: Per-GPU HBM capacity of the simulated hardware, in GiB (the
+    #: :attr:`fits` threshold; infinite when the report was built by hand).
+    hbm_capacity_gb: float = math.inf
 
     @property
     def tflops_per_gpu(self) -> float:
@@ -117,6 +120,11 @@ class StepReport:
     @property
     def max_peak_memory_gb(self) -> float:
         return max(self.per_rank_peak_memory_gb)
+
+    @property
+    def fits(self) -> bool:
+        """True when the worst rank's peak memory fits in one GPU's HBM."""
+        return self.max_peak_memory_gb <= self.hbm_capacity_gb
 
 
 def _layer_params_on_rank(
@@ -390,4 +398,5 @@ def simulate_step(
         schedule=schedule.name,
         expert_imbalance=expert_imbalance,
         dropped_token_fraction=dropped,
+        hbm_capacity_gb=cluster.gpu.hbm_capacity_gb,
     )

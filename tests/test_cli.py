@@ -31,6 +31,22 @@ class TestStep:
         out = capsys.readouterr().out
         assert "TFLOPs/GPU" in out
         assert "peak memory" in out
+        assert "fits in HBM:    yes" in out
+
+    OVER_HBM = ["step", "--model", "405b", "--ngpu", "16384", "--gbs",
+                "2048", "--seq", "8192", "--tp", "8", "--pp", "1", "--dp",
+                "2048", "--schedule", "1f1b-noninterleaved"]
+
+    def test_over_hbm_step_says_so(self, capsys):
+        assert main(self.OVER_HBM) == 0
+        assert "fits in HBM:    NO (80.0 GiB" in capsys.readouterr().out
+
+    def test_over_hbm_step_json(self, capsys):
+        assert main(self.OVER_HBM + ["--json"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["fits"] is False
+        assert rep["hbm_capacity_gb"] == 80.0
+        assert rep["max_peak_memory_gb"] > 80.0
 
     def test_world_size_mismatch_rejected(self):
         with pytest.raises(SystemExit):

@@ -310,6 +310,29 @@ class TestStepGraphInjection:
         assert [(op.uid, op.kind, op.deps) for op in faulted.ops()] == \
             [(op.uid, op.kind, op.deps) for op in graph.ops()]
 
+    def test_unperturbed_ops_are_shared_not_copied(self):
+        """The rewrite replaces only the ops it perturbs; every other op of
+        the faulted graph is the healthy graph's own (immutable) object."""
+        graph = self._graph()
+        plan = FaultPlan((ComputeStraggler(rank=0, extra_seconds=0.001),))
+        healthy = list(graph.ops())
+        faulted, report = apply_fault_plan(graph, plan, DeviceMesh(self.PAR))
+        assert list(graph.ops()) == healthy
+        assert report.ops_faulted > 0
+        for before, after in zip(healthy, faulted.ops()):
+            if before.uid in report.faulted_uids:
+                assert after is not before
+                assert after._replace(duration=before.duration) == before
+            else:
+                assert after is before
+
+    def test_step_ops_are_immutable(self):
+        op = next(self._graph().ops())
+        with pytest.raises(AttributeError):
+            op.duration = 0.0
+        with pytest.raises(AttributeError):
+            op.deps = ()
+
     def test_link_fault_on_missing_dim_matches_nothing(self):
         graph = self._graph()
         plan = FaultPlan((DegradedLink(dim="dp", rank=0, scale=2.0),))

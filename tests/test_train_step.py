@@ -42,12 +42,27 @@ class TestHeadlineThroughput:
         assert step_8k.max_peak_memory_gb < 80
         assert step_131k.max_peak_memory_gb < 80
 
+    def test_table2_configs_report_fits(self, step_8k, step_131k):
+        assert step_8k.hbm_capacity_gb == GRAND_TETON_16K.gpu.hbm_capacity_gb
+        assert step_8k.fits and step_131k.fits
+
     def test_step_decomposition(self, step_8k):
         assert step_8k.step_seconds == pytest.approx(
             step_8k.pipeline_seconds + step_8k.exposed_fsdp_seconds
             + step_8k.optimizer_seconds
         )
         assert step_8k.exposed_fsdp_seconds < 0.1 * step_8k.step_seconds
+
+
+class TestOverHbm:
+    def test_unpipelined_405b_does_not_fit(self):
+        """405B at tp8/pp1/dp2048 peaks near 139 GiB on an 80 GiB H100:
+        the report must say it does not fit rather than pass silently."""
+        par = ParallelConfig(tp=8, cp=1, pp=1, dp=2048)
+        rep = simulate_step(LLAMA3_405B, par, JOB_8K, GRAND_TETON_16K,
+                            schedule_kind="1f1b-noninterleaved")
+        assert rep.max_peak_memory_gb > rep.hbm_capacity_gb == 80.0
+        assert rep.fits is False
 
 
 class TestBubbleRatios:
