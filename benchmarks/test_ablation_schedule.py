@@ -29,7 +29,7 @@ def test_schedule_design_space(report, benchmark):
     report.line(f"  ... {len(candidates)} candidates total")
 
     # The Pareto front: more memory buys more throughput up to AFAB.
-    feasible = [c for c in candidates if c.fits]
+    feasible = [c for c in candidates if c.feasible]
     assert feasible[0].tflops_per_gpu >= max(
         c.tflops_per_gpu for c in feasible
     )
@@ -43,7 +43,7 @@ def test_schedule_design_space(report, benchmark):
     report.line(f"winner @40 GiB budget: {roomy.describe()}")
     report.line(f"winner @27 GiB budget: {tight.describe()}")
     assert roomy.nc >= tight.nc
-    assert tight.max_memory_gb <= 27.0
+    assert tight.simulated_peak_gb <= 27.0
     assert roomy.tflops_per_gpu >= tight.tflops_per_gpu
 
     benchmark.pedantic(
@@ -64,9 +64,9 @@ def test_virtual_stage_ablation(report):
             LLAMA3_405B_SCALED_26L, PAR, JOB, CLUSTER,
             memory_budget_gb=60.0, v_candidates=(v,), congestion=2.0,
         )
-        best = next(c for c in cands if c.fits)
+        best = next(c for c in cands if c.feasible)
         results[v] = best
-        rows.append((v, best.schedule_kind, best.nc,
+        rows.append((v, best.kind, best.nc,
                      f"{best.tflops_per_gpu:.0f}",
                      f"{best.bubble_ratio:.3f}"))
     report.line()

@@ -43,8 +43,8 @@ Observability surface (see ``docs/observability.md``):
 * ``--trace PATH`` on ``step``/``phases``/``faults``/``verify``/``run``
   writes the simulated timeline as Chrome ``trace_event`` JSON, openable
   in ``ui.perfetto.dev``;
-* usage errors (unknown model or phase, inconsistent sizes) exit with
-  code 2 and a one-line message on stderr.
+* usage errors (unknown model or phase, inconsistent sizes, a job no
+  layout fits) exit with code 2 and a one-line message on stderr.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ from typing import List, NoReturn, Optional
 
 import numpy as np
 
+from repro.errors import ConfigError
 from repro.hardware.cluster import grand_teton
 from repro.model import config as model_config
 from repro.model.config import TextModelConfig
@@ -156,7 +157,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     print(plan.describe())
     if plan.candidates:
         print("candidates (simulated, best first):")
-        for c in plan.candidates:
+        for c in (cand.to_dict() for cand in plan.candidates):
             kind = c.get("schedule_kind")
             suffix = f"  [{kind}]" if kind else ""
             ep = c.get("ep", 1)
@@ -1193,6 +1194,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except ConfigError as err:  # invalid sizes, or a job nothing fits
+        print(f"repro: error: {err}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # Downstream consumer (e.g. `| head`) closed the pipe: not an error.
         import os

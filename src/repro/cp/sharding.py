@@ -16,6 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.data.documents import DocumentBatch
+from repro.errors import ConfigError
 
 
 def chunk_bounds(seq: int, cp: int) -> List[Tuple[int, int]]:
@@ -25,10 +26,10 @@ def chunk_bounds(seq: int, cp: int) -> List[Tuple[int, int]]:
     earlier chunks are one token longer.
     """
     if seq <= 0 or cp <= 0:
-        raise ValueError("seq and cp must be positive")
+        raise ConfigError("seq and cp must be positive")
     n_chunks = 2 * cp
     if seq < n_chunks:
-        raise ValueError(f"seq={seq} shorter than 2*cp={n_chunks}")
+        raise ConfigError(f"seq={seq} shorter than 2*cp={n_chunks}")
     base, rem = divmod(seq, n_chunks)
     bounds = []
     start = 0

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro.errors import ConfigError
 from repro.hardware.gpu import GpuSpec, H100_HBM3
 from repro.hardware.network import LinkSpec, NVLINK_H100, ROCE_400G
 
@@ -66,16 +67,16 @@ class ClusterSpec:
 
     def __post_init__(self) -> None:
         if self.gpus_per_node <= 0 or self.num_nodes <= 0:
-            raise ValueError("gpus_per_node and num_nodes must be positive")
+            raise ConfigError("gpus_per_node and num_nodes must be positive")
         if self.oversubscription < 1.0:
-            raise ValueError("oversubscription factor must be >= 1.0")
+            raise ConfigError("oversubscription factor must be >= 1.0")
         if self.storage_bandwidth_per_node <= 0:
-            raise ValueError("storage_bandwidth_per_node must be positive")
+            raise ConfigError("storage_bandwidth_per_node must be positive")
         if self.local_ssd_bandwidth_per_node <= 0:
-            raise ValueError("local_ssd_bandwidth_per_node must be positive")
+            raise ConfigError("local_ssd_bandwidth_per_node must be positive")
         if self.nodes_per_rack <= 0 or self.racks_per_pod <= 0:
-            raise ValueError("nodes_per_rack and racks_per_pod must be "
-                             "positive")
+            raise ConfigError("nodes_per_rack and racks_per_pod must be "
+                              "positive")
 
     @property
     def num_gpus(self) -> int:
@@ -171,7 +172,7 @@ class ClusterSpec:
 def grand_teton(num_gpus: int, gpu: GpuSpec = H100_HBM3) -> ClusterSpec:
     """A Grand-Teton-style cluster with the requested total GPU count."""
     if num_gpus % 8 != 0:
-        raise ValueError("Grand Teton nodes hold 8 GPUs; num_gpus must be a multiple of 8")
+        raise ConfigError("Grand Teton nodes hold 8 GPUs; num_gpus must be a multiple of 8")
     return ClusterSpec(gpu=gpu, gpus_per_node=8, num_nodes=num_gpus // 8)
 
 

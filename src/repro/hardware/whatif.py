@@ -24,11 +24,9 @@ on our substrates:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
-
-from typing import TYPE_CHECKING
 
 from repro.hardware.cluster import ClusterSpec
 from repro.model.config import TextModelConfig
@@ -61,42 +59,37 @@ def hbm_capacity_sweep(
     """For each HBM capacity, the best feasible (tp, pp) by TFLOPs.
 
     A configuration is feasible when its simulated peak memory fits in
-    ``capacity * headroom``.  Larger HBM admits smaller TP degrees (less
-    exposed TP communication) — the Section 8.1 effect.
+    ``capacity * headroom``; one whose simulation fails never is.  Larger
+    HBM admits smaller TP degrees (less exposed TP communication) — the
+    Section 8.1 effect.
     """
     from repro.parallel.config import ParallelConfig, ZeroStage
-    from repro.train.step import simulate_step
+    from repro.parallel.search import Candidate, evaluate, rank_key, within_budget
 
     if not capacities_gb:
         raise ValueError("capacities_gb must name at least one capacity")
+    # The simulated step does not depend on the capacity: price each
+    # layout once, then gate the same candidates at every capacity.
+    simulated = []
+    for tp in tp_candidates:
+        if tp > cluster.gpus_per_node:
+            continue
+        for pp in pp_candidates:
+            dp = job.ngpu // (tp * pp)
+            if dp < 1 or tp * pp * dp != job.ngpu or job.gbs % dp != 0:
+                continue
+            par = ParallelConfig(tp=tp, cp=1, pp=pp, dp=dp,
+                                 zero=ZeroStage.ZERO_1)
+            simulated.append(evaluate(model, job, cluster, Candidate.of(
+                par, job, kind="flexible", v=v)))
     points = []
     for cap in capacities_gb:
-        best: Optional[Tuple[float, int, int, float]] = None
-        for tp in tp_candidates:
-            if tp > cluster.gpus_per_node:
-                continue
-            for pp in pp_candidates:
-                dp = job.ngpu // (tp * pp)
-                if dp < 1 or tp * pp * dp != job.ngpu:
-                    continue
-                if job.gbs % dp != 0:
-                    continue
-                par = ParallelConfig(tp=tp, cp=1, pp=pp, dp=dp,
-                                     zero=ZeroStage.ZERO_1)
-                try:
-                    rep = simulate_step(model, par, job, cluster, v=v)
-                except ValueError:
-                    continue
-                if rep.max_peak_memory_gb > cap * headroom:
-                    continue
-                key = (rep.tflops_per_gpu, tp, pp, rep.max_peak_memory_gb)
-                if best is None or key[0] > best[0]:
-                    best = key
-        if best is None:
-            points.append(CapacityPoint(cap, None, None, 0.0, 0.0))
-        else:
-            points.append(CapacityPoint(cap, best[1], best[2], best[0],
-                                        best[3]))
+        best = sorted((within_budget(c, cap * headroom) for c in simulated), key=rank_key)
+        points.append(
+            CapacityPoint(cap, best[0].tp, best[0].pp, best[0].tflops_per_gpu,
+                          best[0].simulated_peak_gb)
+            if best and best[0].feasible
+            else CapacityPoint(cap, None, None, 0.0, 0.0))
     return points
 
 

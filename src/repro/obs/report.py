@@ -82,7 +82,7 @@ def plan_report(plan: Plan) -> dict:
         "schedule": plan.schedule,
         "estimated_rank0_memory_gb": plan.estimated_rank0_memory_gb,
         "rationale": list(plan.rationale),
-        "candidates": [dict(c) for c in plan.candidates],
+        "candidates": [c.to_dict() for c in plan.candidates],
     }
 
 

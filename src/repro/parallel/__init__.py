@@ -1,4 +1,4 @@
-"""4D parallelism: configuration, device mesh, planner, and memory model."""
+"""4D parallelism: configuration, device mesh, planner, search, memory."""
 
 from repro.parallel.config import (
     ParallelConfig,
@@ -9,6 +9,7 @@ from repro.parallel.config import (
 )
 from repro.parallel.mesh import DeviceMesh, MeshCoord, DIM_ORDER
 from repro.parallel.memory import RankMemory, estimate_rank_memory
+from repro.parallel.search import Candidate
 from repro.parallel.planner import (
     Plan,
     plan_parallelism,
@@ -46,6 +47,7 @@ __all__ = [
     "DIM_ORDER",
     "RankMemory",
     "estimate_rank_memory",
+    "Candidate",
     "Plan",
     "plan_parallelism",
     "replan_for_gpu_count",

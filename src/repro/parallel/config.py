@@ -24,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+from repro.errors import ConfigError
+
 
 class ZeroStage(Enum):
     """FSDP sharding strategy, aligned with DeepSpeed's ZeRO definitions
@@ -58,7 +60,7 @@ class ParallelConfig:
     def __post_init__(self) -> None:
         for name in ("tp", "cp", "ep", "pp", "dp"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+                raise ConfigError(f"{name} must be >= 1")
 
     @property
     def world_size(self) -> int:
@@ -109,7 +111,7 @@ class JobConfig:
     def __post_init__(self) -> None:
         for name in ("seq", "gbs", "ngpu", "mbs"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+                raise ConfigError(f"{name} must be >= 1")
 
     @property
     def tokens_per_step(self) -> int:

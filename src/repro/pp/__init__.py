@@ -12,7 +12,7 @@ from repro.pp.analysis import (
     degenerates_to_afab,
 )
 
-from repro.pp.autotune import TuneCandidate, autotune_schedule, best_schedule
+from repro.pp.autotune import AUTOTUNE_KINDS, autotune_schedule, best_schedule
 from repro.pp.render import render_program, render_timeline
 from repro.pp.multimodal_schedule import (
     MultimodalPipelineResult,
@@ -61,7 +61,7 @@ __all__ = [
     "simulate_multimodal_pipeline",
     "compare_groupings_event_level",
     "render_timeline",
-    "TuneCandidate",
+    "AUTOTUNE_KINDS",
     "autotune_schedule",
     "best_schedule",
     "ScheduleShape",

@@ -2,50 +2,30 @@
 budget.
 
 The paper tunes these by hand per phase (Sections 3.1 and 7.1); this
-module automates the search the way a framework would: enumerate valid
-round sizes ``nc`` (divisors of nmb), virtual-stage counts ``v``, and
-schedule kinds, simulate each, drop configurations that exceed the memory
-budget, and rank the rest by achieved TFLOPs.  The ablation benchmark uses
-it to show the design space around the paper's choices.
+module automates the search for a fixed parallel layout: every ``v``,
+kind of :data:`AUTOTUNE_KINDS` and round size ``nc`` (divisors of nmb) is
+simulated by :func:`repro.parallel.search.evaluate`, gated on its
+simulated peak and ranked by TFLOPs.  The ablation benchmark uses it to
+show the design space around the paper's choices.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
+from repro.errors import ConfigError
 from repro.hardware.cluster import ClusterSpec
 from repro.model.config import TextModelConfig
 
 if TYPE_CHECKING:  # imported lazily to avoid a package import cycle
     from repro.parallel.config import JobConfig, ParallelConfig
+    from repro.parallel.search import Candidate
 
-
-@dataclass(frozen=True)
-class TuneCandidate:
-    """One evaluated schedule configuration."""
-
-    schedule_kind: str
-    nc: int
-    v: int
-    tflops_per_gpu: float
-    max_memory_gb: float
-    bubble_ratio: float
-    fits: bool
-
-    def describe(self) -> str:
-        tag = "" if self.fits else "  [over budget]"
-        return (
-            f"{self.schedule_kind:8s} nc={self.nc:<3d} v={self.v:<2d} "
-            f"{self.tflops_per_gpu:5.0f} TFLOPs  "
-            f"{self.max_memory_gb:5.1f} GiB  "
-            f"bubble {self.bubble_ratio:.3f}{tag}"
-        )
-
-
-def _divisors(n: int) -> List[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
+#: The schedule kinds the autotuner sweeps.  The ablation results
+#: (``benchmarks/results/ablation_schedule.txt``) are pinned on these two.
+AUTOTUNE_KINDS = ("flexible", "afab")
 
 
 def autotune_schedule(
@@ -58,14 +38,15 @@ def autotune_schedule(
     nc_candidates: Optional[Sequence[int]] = None,
     recompute: bool = False,
     congestion: float = 1.0,
-) -> List[TuneCandidate]:
+) -> List["Candidate"]:
     """Evaluate the schedule design space; best feasible first.
 
-    Returns every evaluated candidate (feasible ones sorted to the front
-    by TFLOPs, then infeasible ones), so benchmarks can show the whole
-    trade-off surface rather than just the winner.
+    Returns every successfully simulated candidate (those whose simulated
+    peak fits ``memory_budget_gb`` sorted to the front by TFLOPs, then the
+    over-budget ones), so benchmarks can show the whole trade-off surface
+    rather than just the winner.
     """
-    from repro.train.step import simulate_step
+    from repro.parallel.search import Candidate, evaluate, rank_key, within_budget
 
     nmb = job.micro_batches(parallel)
     layers_per_rank = max(math.ceil(model.n_layers / parallel.pp), 1)
@@ -75,40 +56,18 @@ def autotune_schedule(
             if v >= 1
         })
     if nc_candidates is None:
-        nc_candidates = _divisors(nmb)
+        nc_candidates = [d for d in range(1, nmb + 1) if nmb % d == 0]
 
-    seen = set()
-    candidates: List[TuneCandidate] = []
-    for v in v_candidates:
-        for kind in ("flexible", "afab"):
-            for nc in nc_candidates:
-                key = (kind, nc, v)
-                if key in seen:
-                    continue
-                seen.add(key)
-                try:
-                    rep = simulate_step(
-                        model, parallel, job, cluster,
-                        schedule_kind=kind, nc=nc, v=v,
-                        recompute=recompute, congestion=congestion,
-                    )
-                except (ValueError, RuntimeError):
-                    continue
-                candidates.append(
-                    TuneCandidate(
-                        schedule_kind=kind,
-                        nc=nc,
-                        v=v,
-                        tflops_per_gpu=rep.tflops_per_gpu,
-                        max_memory_gb=rep.max_peak_memory_gb,
-                        bubble_ratio=rep.mean_bubble_ratio,
-                        fits=rep.max_peak_memory_gb <= memory_budget_gb,
-                    )
-                )
-    return sorted(
-        candidates,
-        key=lambda c: (not c.fits, -c.tflops_per_gpu),
-    )
+    simulated = []
+    for v, kind, nc in itertools.product(
+            dict.fromkeys(v_candidates), AUTOTUNE_KINDS,
+            dict.fromkeys(nc_candidates)):
+        cand = evaluate(model, job, cluster,
+                        Candidate.of(parallel, job, kind=kind, v=v, nc=nc),
+                        recompute=recompute, congestion=congestion)
+        if cand.simulated_peak_gb is not None:  # failed shapes are left out
+            simulated.append(within_budget(cand, memory_budget_gb))
+    return sorted(simulated, key=rank_key)
 
 
 def best_schedule(
@@ -118,15 +77,12 @@ def best_schedule(
     cluster: ClusterSpec,
     memory_budget_gb: float = 72.0,
     **kwargs,
-) -> TuneCandidate:
+) -> "Candidate":
     """The best feasible configuration, or raise if nothing fits."""
     results = autotune_schedule(
-        model, parallel, job, cluster, memory_budget_gb, **kwargs
-    )
-    feasible = [c for c in results if c.fits]
-    if not feasible:
-        raise ValueError(
+        model, parallel, job, cluster, memory_budget_gb, **kwargs)
+    if not results or not results[0].feasible:
+        raise ConfigError(
             f"no schedule fits in {memory_budget_gb} GiB; best infeasible: "
-            f"{results[0].describe() if results else 'none evaluated'}"
-        )
-    return feasible[0]
+            f"{results[0].describe() if results else 'none evaluated'}")
+    return results[0]

@@ -101,6 +101,30 @@ class TestRun:
         assert "never (0 written" in out
 
 
+class TestConfigErrors:
+    """Invalid sizes and jobs no layout fits are usage errors
+    (:class:`repro.errors.ConfigError`): one ``repro: error:`` line on
+    stderr and exit 2, never a traceback."""
+
+    @pytest.mark.parametrize("argv, fragment", [
+        (["step", "--gbs", "0"], "gbs must be >= 1"),
+        (["step", "--seq", "0"], "seq must be >= 1"),
+        (["step", "--ngpu", "7"], "multiple of 8"),
+        (["step", "--ngpu", "0"], "must be positive"),
+        (["plan", "--ngpu", "7"], "multiple of 8"),
+        (["plan", "--gbs", "0"], "gbs must be >= 1"),
+        (["phases", "--ngpu", "7"], "multiple of 8"),
+        (["imbalance", "--cp", "0"], "seq and cp must be positive"),
+        (["plan", "--ngpu", "8", "--gbs", "8"], "nearest is tp=8 pp=1"),
+    ])
+    def test_exit_2_with_one_line(self, argv, fragment, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ")
+        assert fragment in err
+        assert err.count("\n") == 1
+
+
 class TestRunValidation:
     """Degenerate `repro run` inputs exit 2 with a clear message, never
     a traceback or a hang."""

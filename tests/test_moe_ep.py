@@ -190,7 +190,7 @@ class TestPlannerEP:
         plan = plan_parallelism(LLAMA3_8B, self.JOB, self.CLUSTER,
                                 cost_aware=True)
         assert plan.parallel.ep == 1
-        assert all(c.get("ep", 1) == 1 for c in plan.candidates)
+        assert all(c.ep == 1 for c in plan.candidates)
 
     def test_winner_flips_toward_ep_as_experts_grow(self):
         few = self._winner(2).parallel
@@ -202,7 +202,7 @@ class TestPlannerEP:
 
     def test_moe_candidates_cover_ep_axis(self):
         plan = self._winner(8)
-        eps = {c.get("ep", 1) for c in plan.candidates}
+        eps = {c.ep for c in plan.candidates}
         assert {1, 2, 4, 8} <= eps
 
     def test_world_product_includes_ep(self):

@@ -20,17 +20,17 @@ def candidates():
 
 class TestAutotune:
     def test_feasible_sorted_first_by_tflops(self, candidates):
-        feasible = [c for c in candidates if c.fits]
+        feasible = [c for c in candidates if c.feasible]
         assert feasible
         tflops = [c.tflops_per_gpu for c in feasible]
         assert tflops == sorted(tflops, reverse=True)
         first_infeasible = next(
-            (i for i, c in enumerate(candidates) if not c.fits), None)
+            (i for i, c in enumerate(candidates) if not c.feasible), None)
         if first_infeasible is not None:
-            assert all(not c.fits for c in candidates[first_infeasible:])
+            assert all(not c.feasible for c in candidates[first_infeasible:])
 
     def test_covers_both_schedule_kinds(self, candidates):
-        kinds = {c.schedule_kind for c in candidates}
+        kinds = {c.kind for c in candidates}
         assert kinds == {"flexible", "afab"}
 
     def test_nc_candidates_divide_nmb(self, candidates):
@@ -40,8 +40,8 @@ class TestAutotune:
     def test_best_schedule_is_feasible(self):
         best = best_schedule(LLAMA3_405B_SCALED_26L, PAR, JOB, CLUSTER,
                              memory_budget_gb=40.0)
-        assert best.fits
-        assert best.max_memory_gb <= 40.0
+        assert best.feasible
+        assert best.simulated_peak_gb <= 40.0
 
     def test_tight_budget_prefers_lean_schedules(self):
         """Shrinking the memory budget pushes the winner toward 1F1B-like
@@ -50,7 +50,7 @@ class TestAutotune:
                               memory_budget_gb=40.0)
         tight = best_schedule(LLAMA3_405B_SCALED_26L, PAR, JOB, CLUSTER,
                               memory_budget_gb=27.0)
-        assert tight.max_memory_gb <= 27.0
+        assert tight.simulated_peak_gb <= 27.0
         assert tight.tflops_per_gpu <= roomy.tflops_per_gpu
 
     def test_impossible_budget_raises(self):
@@ -62,4 +62,4 @@ class TestAutotune:
         text = candidates[0].describe()
         assert "TFLOPs" in text and "GiB" in text
         assert "over budget" in next(
-            c for c in candidates if not c.fits).describe()
+            c for c in candidates if not c.feasible).describe()

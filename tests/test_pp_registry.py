@@ -318,7 +318,7 @@ class TestPlannerScheduleAxis:
         plan = plan_parallelism(LLAMA3_8B, self.JOB, self.CLUSTER,
                                 cost_aware=True, schedule_kind="all")
         assert plan.schedule in schedule_kinds()
-        kinds_seen = {c.get("schedule_kind") for c in plan.candidates}
+        kinds_seen = {c.kind for c in plan.candidates}
         assert kinds_seen >= set(schedule_kinds())
         assert f"schedule={plan.schedule}" in plan.rationale[-1]
 
@@ -326,9 +326,9 @@ class TestPlannerScheduleAxis:
         plan = plan_parallelism(LLAMA3_8B, self.JOB, self.CLUSTER,
                                 cost_aware=True, schedule_kind="gpipe")
         assert plan.schedule == "gpipe"
-        feasible = [c for c in plan.candidates if c["feasible"]]
+        feasible = [c for c in plan.candidates if c.feasible]
         assert feasible
-        assert all(c["schedule_kind"] == "gpipe" for c in feasible)
+        assert all(c.kind == "gpipe" for c in feasible)
 
 
 class TestResilienceSchedulePin:

@@ -158,14 +158,14 @@ class TestCostAwarePlanner:
         plan = plan_parallelism(LLAMA3_8B, job, grand_teton(64),
                                 cost_aware=True)
         assert plan.candidates
-        feasible = [c for c in plan.candidates if c["feasible"]]
+        feasible = [c for c in plan.candidates if c.feasible]
         assert feasible, "no feasible candidate at toy scale"
-        tflops = [c["tflops_per_gpu"] for c in feasible]
+        tflops = [c.tflops_per_gpu for c in feasible]
         assert tflops == sorted(tflops, reverse=True)
         best = feasible[0]
         p = plan.parallel
         assert (p.tp, p.pp, p.cp, p.dp) == (
-            best["tp"], best["pp"], best["cp"], best["dp"])
+            best.tp, best.pp, best.cp, best.dp)
         assert any("cost-aware" in line for line in plan.rationale)
 
     def test_default_mode_has_no_candidates(self):
