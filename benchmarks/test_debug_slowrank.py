@@ -9,13 +9,15 @@ import numpy as np
 
 from repro.debug.trace_analysis import identify_slow_rank
 from repro.debug.workload import WorkloadSpec, run_synthetic_workload
+from repro.faults import ComputeStraggler, FaultPlan
 from repro.parallel.config import ParallelConfig
 from repro.parallel.mesh import DeviceMesh
 
 
 def test_figure8_example(report, benchmark):
     mesh = DeviceMesh(ParallelConfig(tp=4, cp=2))
-    sim = run_synthetic_workload(mesh, slowdown={6: 0.5})
+    sim = run_synthetic_workload(mesh, faults=FaultPlan((
+        ComputeStraggler(rank=6, extra_seconds=0.5),)))
     rep = identify_slow_rank(sim, mesh)
 
     report.line("Figure 8 scenario: 8 GPUs, (cp=2, tp=4), rank 6 injected "
@@ -79,7 +81,8 @@ def test_512_gpu_localisation(report):
     for victim in victims:
         sim = run_synthetic_workload(
             mesh, WorkloadSpec(steps=2, layers=2),
-            slowdown={int(victim): 0.8},
+            faults=FaultPlan((
+                ComputeStraggler(rank=int(victim), extra_seconds=0.8),)),
         )
         rep = identify_slow_rank(sim, mesh)
         hits += rep.slow_rank == victim

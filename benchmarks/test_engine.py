@@ -151,10 +151,12 @@ def test_131k_rank_collectives(report):
     rounds = 4
     ranks = list(range(world))
     sim = Simulator()
+    # One late joiner on the first round exercises the dependency path.
+    late = {7: [sim.run(7, "compute", 1e-4, "late")]}
     t0 = time.perf_counter()
     for i in range(rounds):
         sim.run_collective(ranks, "dp", 0.01, f"ar{i}",
-                           skew={7: 1e-4} if i == 0 else None)
+                           after=late if i == 0 else None)
     elapsed = time.perf_counter() - t0
     n_events = world * rounds
     eps = n_events / elapsed
@@ -174,7 +176,7 @@ def test_131k_rank_collectives(report):
     )
     report.line()
 
-    assert len(sim.events) == n_events
+    assert len(sim.events) == n_events + 1  # plus the late joiner
     assert sim.makespan() > 0.04  # four chained 0.01 s rounds
     assert eps >= FLOOR_COLLECTIVE_EPS, (
         f"{eps:,.0f} events/sec at 131K ranks "

@@ -12,6 +12,7 @@ a Perfetto trace you can open at ui.perfetto.dev.
 import pathlib
 
 from repro.debug import identify_slow_rank, run_synthetic_workload
+from repro.faults import ComputeStraggler, FaultPlan
 from repro.obs.trace import export_chrome_trace
 from repro.parallel import DeviceMesh, ParallelConfig
 
@@ -19,7 +20,8 @@ from repro.parallel import DeviceMesh, ParallelConfig
 def figure8_demo() -> None:
     print("=== Figure 8: 8 GPUs, (cp=2, tp=4), fault injected on rank 6 ===")
     mesh = DeviceMesh(ParallelConfig(tp=4, cp=2))
-    sim = run_synthetic_workload(mesh, slowdown={6: 0.5})
+    sim = run_synthetic_workload(mesh, faults=FaultPlan((
+        ComputeStraggler(rank=6, extra_seconds=0.5),)))
 
     # Naive view: inside TP group [0..3], which rank has the *shortest*
     # collective spans (i.e. joins last, everyone waits for it)?
@@ -40,7 +42,8 @@ def scale_demo() -> None:
     print("\n=== 512-GPU 4D mesh (tp=8, cp=2, pp=4, dp=8), fault on rank"
           " 261 ===")
     mesh = DeviceMesh(ParallelConfig(tp=8, cp=2, pp=4, dp=8))
-    sim = run_synthetic_workload(mesh, slowdown={261: 0.8})
+    sim = run_synthetic_workload(mesh, faults=FaultPlan((
+        ComputeStraggler(rank=261, extra_seconds=0.8),)))
     report = identify_slow_rank(sim, mesh)
     print(report.describe())
 

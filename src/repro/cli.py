@@ -320,24 +320,27 @@ def _run_trace(args: argparse.Namespace, out) -> int:
     # --cmd workload: Section 6.1 end to end — run, export, localise.
     from repro.debug.trace_analysis import identify_slow_rank
     from repro.debug.workload import WorkloadSpec, run_synthetic_workload
+    from repro.faults import DETECTION_WORLD_LIMIT, ComputeStraggler, FaultPlan
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.trace import export_chrome_trace
     from repro.parallel.mesh import DeviceMesh
 
     world = args.tp * args.cp * args.ep * args.pp * args.dp
-    if world > 512:
-        _fail(f"workload traces every rank; keep tp*cp*ep*pp*dp <= 512 "
-              f"(got {world}) — e.g. --tp 4 --cp 2 --pp 1 --dp 1")
+    if world > DETECTION_WORLD_LIMIT:
+        _fail(f"workload traces every rank; keep tp*cp*ep*pp*dp <= "
+              f"{DETECTION_WORLD_LIMIT} (got {world}) — e.g. --tp 4 --cp 2 "
+              f"--pp 1 --dp 1")
     mesh = DeviceMesh(ParallelConfig(tp=args.tp, cp=args.cp, ep=args.ep,
                                      pp=args.pp, dp=args.dp))
-    slowdown = {}
+    plan = None
     if args.slow_rank is not None:
         if not 0 <= args.slow_rank < mesh.world_size:
             _fail(f"--slow-rank {args.slow_rank} outside world "
                   f"[0, {mesh.world_size})")
-        slowdown[args.slow_rank] = args.slowdown
+        plan = FaultPlan((ComputeStraggler(
+            rank=args.slow_rank, extra_seconds=args.slowdown),))
     sim = run_synthetic_workload(mesh, WorkloadSpec(steps=args.steps),
-                                 slowdown=slowdown)
+                                 faults=plan)
     export_chrome_trace(sim, out, mesh=mesh)
     metrics = MetricsRegistry()
     report = identify_slow_rank(sim, mesh, metrics=metrics)
@@ -414,10 +417,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.fault:
         from repro.faults import FaultPlan, parse_fault_spec
 
-        try:
-            plan = FaultPlan(tuple(parse_fault_spec(s) for s in args.fault))
-        except ValueError as err:
-            _fail(str(err))
+        plan = FaultPlan(tuple(parse_fault_spec(s) for s in args.fault))
     metrics = MetricsRegistry()
     try:
         rep = simulate_step(model, par, job, cluster,
@@ -526,16 +526,9 @@ def cmd_faults(args: argparse.Namespace) -> int:
     model = _moe_model(args)
     par = _step_parallel(args)
     if args.fault:
-        try:
-            faults = tuple(parse_fault_spec(s) for s in args.fault)
-        except ValueError as err:
-            _fail(str(err))
-        plan = FaultPlan(faults)
+        plan = FaultPlan(tuple(parse_fault_spec(s) for s in args.fault))
     else:
-        try:
-            plan = fault_preset(args.preset, par.world_size)
-        except ValueError as err:
-            _fail(str(err))
+        plan = fault_preset(args.preset, par.world_size)
     metrics = MetricsRegistry()
     faulted_sim = Simulator() if args.trace else None
     try:
@@ -1012,7 +1005,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slow-rank", type=int, default=None,
                    help="workload: rank to slow down (fault injection)")
     p.add_argument("--slowdown", type=float, default=0.5,
-                   help="workload: extra seconds per compute op")
+                   help="workload: extra seconds per compute op of "
+                        "--slow-rank (> 0)")
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser(

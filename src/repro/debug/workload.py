@@ -4,9 +4,11 @@ Runs a few training-step-shaped iterations over a full device mesh: per
 layer, every rank computes, then its TP group all-gathers, then its CP
 group gathers KV, then (when ``ep > 1``) its EP group trades expert
 tokens in an all-to-all; per step the DP x CP group reduce-scatters
-gradients and PP neighbours exchange activations.  Any rank can be given a *slowdown*
-(extra seconds per compute op — a flaky GPU, deterministic-DVFS violation,
-or thermal throttle), and the resulting trace is what
+gradients and PP neighbours exchange activations.  Faults enter through a
+:class:`repro.faults.FaultPlan` — e.g. a
+:class:`~repro.faults.ComputeStraggler` adding seconds to every compute
+op of one rank (a flaky GPU, deterministic-DVFS violation, or thermal
+throttle) — and the resulting trace is what
 :func:`repro.debug.trace_analysis.identify_slow_rank` diagnoses.
 
 This reproduces the paper's example: with (cp=2, tp=4) on 8 GPUs, slowing
@@ -17,7 +19,7 @@ search correctly walks CP first and lands on rank 6.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.parallel.mesh import DeviceMesh
 from repro.sim.engine import Simulator
@@ -56,7 +58,6 @@ class WorkloadSpec:
 def run_synthetic_workload(
     mesh: DeviceMesh,
     spec: WorkloadSpec = WorkloadSpec(),
-    slowdown: Optional[Dict[int, float]] = None,
     sim: Optional[Simulator] = None,
     faults: Optional["FaultPlan"] = None,
 ) -> Simulator:
@@ -65,14 +66,11 @@ def run_synthetic_workload(
     Args:
         mesh: Device mesh covering every simulated rank.
         spec: Workload shape.
-        slowdown: Extra seconds added to *each compute op* of the given
-            ranks — the simplest injected fault.
         sim: Simulator to record into.
         faults: Declarative fault plan (:class:`repro.faults.FaultPlan`)
             installed as simulator duration modifiers before the workload
-            runs — the general form of ``slowdown``.
+            runs.
     """
-    slowdown = slowdown or {}
     sim = sim or Simulator()
     if faults is not None:
         faults.install(sim, mesh)
@@ -85,7 +83,7 @@ def run_synthetic_workload(
                 sim.run(
                     rank=rank,
                     stream="compute",
-                    duration=spec.compute_seconds + slowdown.get(rank, 0.0),
+                    duration=spec.compute_seconds,
                     name=f"compute:s{step}:l{layer}",
                     kind="compute",
                 )

@@ -7,10 +7,12 @@ applied as a graph-to-graph rewrite instead: each fault in a
 :class:`~repro.faults.models.FaultPlan` is projected from global ranks
 onto the pipeline-rank axis (a fault on global rank ``r`` perturbs the
 program of pipeline rank ``mesh.coord_of(r).pp``), matched against each
-op's (kind, stream, name), and the matched ops rebuilt with perturbed
-durations.  The executor then runs the perturbed graph unchanged — fault
-cost composes with stream overlap and exposed-wait accounting exactly
-like healthy cost does.
+op's (kind, stream, name) by the same
+:func:`~repro.faults.models.make_modifier` rule the simulator path
+installs, and the matched ops rebuilt with perturbed durations.  The
+executor then runs the perturbed graph unchanged — fault cost composes
+with stream overlap and exposed-wait accounting exactly like healthy
+cost does.
 
 One deliberate coarsening: the step graph carries one program per
 pipeline rank on behalf of the whole (tp, cp, dp) slice, so a fault on
@@ -25,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from repro.faults.models import FaultPlan
+from repro.faults.models import FaultPlan, make_modifier
 from repro.parallel.mesh import DeviceMesh
 from repro.train.lowering import COMPUTE_STREAMS, StepGraph, StepOp
 
@@ -84,12 +86,11 @@ def apply_fault_plan(
     is untouched.
     """
     plan.validate(mesh)
-    appliers = []
-    for fault in plan:
-        appliers.append((fault, _pp_ranks(fault, mesh), {}))
+    modifiers = [make_modifier(fault, _pp_ranks(fault, mesh))
+                 for fault in plan]
 
     faulted: set = set()
-    per_fault = [0] * len(appliers)
+    per_fault = [0] * len(modifiers)
     extra = 0.0
     programs: List[Tuple[StepOp, ...]] = []
     for prog in graph.programs:
@@ -97,13 +98,9 @@ def apply_fault_plan(
         for op in prog:
             kind = _sim_kind(op)
             duration = op.duration
-            for idx, (fault, pp_ranks, states) in enumerate(appliers):
-                if pp_ranks is not None and op.rank not in pp_ranks:
-                    continue
-                if not fault.matches_event(kind, op.stream, op.name):
-                    continue
-                state = states.setdefault(op.rank, fault.fresh_state())
-                perturbed = fault.perturb(duration, state)
+            for idx, modifier in enumerate(modifiers):
+                perturbed = modifier(op.rank, op.stream, kind, op.name,
+                                     duration)
                 if perturbed != duration:
                     per_fault[idx] += 1
                 duration = perturbed

@@ -2,7 +2,8 @@
 
 Each model describes one production failure mode as *which ranks* it hits,
 *which events* it matches, and *how* it perturbs a matched event's
-duration.  The same model injects into both simulation paths:
+duration.  The same model injects into both simulation paths through one
+perturbation rule, :func:`make_modifier`:
 
 * the synthetic Section 6.1 workload, through simulator duration
   modifiers (:meth:`FaultPlan.install` +
@@ -10,7 +11,11 @@ duration.  The same model injects into both simulation paths:
   compose with stream overlap at run time;
 * the lowered step graph, by perturbing per-op durations before
   :func:`repro.train.executor.execute_graph`
-  (:func:`repro.faults.inject.apply_fault_plan`).
+  (:func:`repro.faults.inject.apply_fault_plan`, which calls the same
+  modifiers with pipeline ranks).
+
+A fault plan is the only way to perturb simulated time; the engine has no
+other hook.
 
 The taxonomy (see ``docs/faults.md``):
 
@@ -47,6 +52,7 @@ from typing import (
     Tuple,
 )
 
+from repro.errors import ConfigError
 from repro.sim.collectives import DEFAULT_COLLECTIVE_TIMEOUT_SECONDS
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
@@ -72,7 +78,7 @@ _COMM_STREAMS: Dict[str, str] = {
 
 def _check_dim(dim: str) -> None:
     if dim not in _COMM_PREFIXES:
-        raise ValueError(
+        raise ConfigError(
             f"unknown dim {dim!r}; expected one of {sorted(_COMM_PREFIXES)}")
 
 
@@ -95,11 +101,11 @@ class ComputeStraggler:
 
     def __post_init__(self) -> None:
         if self.rank < 0:
-            raise ValueError("rank must be >= 0")
+            raise ConfigError("rank must be >= 0")
         if self.extra_seconds < 0 or self.scale <= 0:
-            raise ValueError("need extra_seconds >= 0 and scale > 0")
+            raise ConfigError("need extra_seconds >= 0 and scale > 0")
         if self.extra_seconds == 0 and self.scale == 1.0:
-            raise ValueError("straggler must slow something down")
+            raise ConfigError("straggler must slow something down")
 
     def affected_ranks(self, mesh: "DeviceMesh") -> Optional[FrozenSet[int]]:
         return frozenset({self.rank})
@@ -149,16 +155,16 @@ class DegradedLink:
     def __post_init__(self) -> None:
         _check_dim(self.dim)
         if self.scale <= 0 or self.scale == 1.0:
-            raise ValueError("scale must be positive and != 1")
+            raise ConfigError("scale must be positive and != 1")
         if (self.group is None) == (self.rank is None):
-            raise ValueError("set exactly one of group= or rank=")
+            raise ConfigError("set exactly one of group= or rank=")
 
     def affected_ranks(self, mesh: "DeviceMesh") -> Optional[FrozenSet[int]]:
         if self.rank is not None:
             return frozenset({self.rank})
         groups = mesh.all_groups(self.dim)
         if not 0 <= self.group < len(groups):
-            raise ValueError(
+            raise ConfigError(
                 f"{self.dim} group {self.group} out of range "
                 f"[0, {len(groups)})")
         return frozenset(groups[self.group])
@@ -211,11 +217,11 @@ class HungRank:
 
     def __post_init__(self) -> None:
         if self.rank < 0:
-            raise ValueError("rank must be >= 0")
+            raise ConfigError("rank must be >= 0")
         if self.hang_seconds <= 0:
-            raise ValueError("hang_seconds must be > 0")
+            raise ConfigError("hang_seconds must be > 0")
         if self.timeout_seconds is not None and self.timeout_seconds <= 0:
-            raise ValueError("timeout_seconds must be > 0 when set")
+            raise ConfigError("timeout_seconds must be > 0 when set")
 
     @property
     def effective_timeout_seconds(self) -> float:
@@ -276,11 +282,11 @@ class PeriodicJitter:
 
     def __post_init__(self) -> None:
         if self.rank < 0:
-            raise ValueError("rank must be >= 0")
+            raise ConfigError("rank must be >= 0")
         if self.period < 1:
-            raise ValueError("period must be >= 1")
+            raise ConfigError("period must be >= 1")
         if self.extra_seconds <= 0:
-            raise ValueError("extra_seconds must be > 0")
+            raise ConfigError("extra_seconds must be > 0")
 
     def affected_ranks(self, mesh: "DeviceMesh") -> Optional[FrozenSet[int]]:
         return frozenset({self.rank})
@@ -332,9 +338,9 @@ class CollectiveRetry:
     def __post_init__(self) -> None:
         _check_dim(self.dim)
         if self.retries < 1:
-            raise ValueError("retries must be >= 1")
+            raise ConfigError("retries must be >= 1")
         if self.extra_seconds <= 0:
-            raise ValueError("extra_seconds must be > 0")
+            raise ConfigError("extra_seconds must be > 0")
 
     def affected_ranks(self, mesh: "DeviceMesh") -> Optional[FrozenSet[int]]:
         if self.rank is not None:
@@ -396,11 +402,11 @@ class HotExpert:
 
     def __post_init__(self) -> None:
         if self.rank < 0:
-            raise ValueError("rank must be >= 0")
+            raise ConfigError("rank must be >= 0")
         if self.imbalance <= 1.0:
-            raise ValueError("imbalance must be > 1.0 (1.0 = balanced)")
+            raise ConfigError("imbalance must be > 1.0 (1.0 = balanced)")
         if self.capacity_factor <= 1.0:
-            raise ValueError(
+            raise ConfigError(
                 "capacity_factor must be > 1.0 for the hot expert to do "
                 "any extra work (at <= 1.0 the excess is all drops)")
 
@@ -449,9 +455,17 @@ class HotExpert:
                 "work_scale": self.work_scale}
 
 
-def make_modifier(fault, mesh: "DeviceMesh") -> "DurationModifier":
-    """Engine duration modifier for one fault (lazy per-rank state)."""
-    ranks = fault.affected_ranks(mesh)
+def make_modifier(
+    fault, ranks: Optional[FrozenSet[int]],
+) -> "DurationModifier":
+    """The one perturbation rule: a duration modifier for one fault.
+
+    ``ranks`` is the affected-rank set in the caller's rank space (None =
+    every rank): global ranks for :meth:`FaultPlan.install`, pipeline
+    ranks for :func:`repro.faults.inject.apply_fault_plan`.  An event on
+    an affected rank that the fault matches is perturbed with that rank's
+    lazily-created state; every other event passes through unchanged.
+    """
     state: Dict[int, dict] = {}
 
     def modifier(rank: int, stream: str, kind: str, name: str,
@@ -479,14 +493,15 @@ class FaultPlan:
         return len(self.faults)
 
     def validate(self, mesh: "DeviceMesh") -> None:
-        """Raise ``ValueError`` for faults outside the mesh."""
+        """Raise :class:`~repro.errors.ConfigError` for faults outside
+        the mesh."""
         for fault in self.faults:
             ranks = fault.affected_ranks(mesh)
             if ranks is None:
                 continue
             bad = [r for r in ranks if not 0 <= r < mesh.world_size]
             if bad:
-                raise ValueError(
+                raise ConfigError(
                     f"fault {fault.describe()!r} targets ranks {sorted(bad)} "
                     f"outside world [0, {mesh.world_size})")
 
@@ -494,7 +509,8 @@ class FaultPlan:
         """Register every fault as a duration modifier on the simulator."""
         self.validate(mesh)
         for fault in self.faults:
-            sim.add_duration_modifier(make_modifier(fault, mesh))
+            sim.add_duration_modifier(
+                make_modifier(fault, fault.affected_ranks(mesh)))
 
     def expected_detection(self) -> Tuple[Optional[int], Optional[str]]:
         """(rank, attribution) the Section 6.1 search should pin, if the
@@ -545,13 +561,13 @@ def parse_fault_spec(spec: str):
 
     Format: ``<type>:key=value[,key=value...]`` with types
     ``straggler | link | hang | jitter | retry`` (see ``docs/faults.md``
-    for every key).  Raises ``ValueError`` with a usage hint on any
-    malformed spec.
+    for every key).  Raises :class:`~repro.errors.ConfigError` with a
+    usage hint on any malformed spec.
     """
     head, _, rest = spec.partition(":")
     entry = _SPEC_TYPES.get(head.strip())
     if entry is None:
-        raise ValueError(
+        raise ConfigError(
             f"unknown fault type {head.strip()!r}; choose from "
             f"{sorted(_SPEC_TYPES)}")
     cls, fields = entry
@@ -560,7 +576,7 @@ def parse_fault_spec(spec: str):
         key, eq, value = part.partition("=")
         key = key.strip()
         if not eq or key not in fields:
-            raise ValueError(
+            raise ConfigError(
                 f"bad {head.strip()!r} field {part!r}; expected one of "
                 f"{sorted(fields)}")
         target = fields[key]
@@ -568,12 +584,12 @@ def parse_fault_spec(spec: str):
         try:
             kwargs[name] = conv(value.strip())
         except ValueError:
-            raise ValueError(
+            raise ConfigError(
                 f"cannot parse {part!r} as {conv.__name__}") from None
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as err:
-        raise ValueError(f"invalid fault spec {spec!r}: {err}") from None
+        raise ConfigError(f"invalid fault spec {spec!r}: {err}") from None
 
 
 #: ``kind`` label (as emitted by ``to_dict``) -> fault class.
@@ -627,10 +643,10 @@ FAULT_PRESETS: Dict[str, "object"] = {
 def fault_preset(name: str, world_size: int) -> FaultPlan:
     """Build a named preset :class:`FaultPlan` for a given world size."""
     if world_size < 1:
-        raise ValueError("world_size must be >= 1")
+        raise ConfigError("world_size must be >= 1")
     builder = FAULT_PRESETS.get(name)
     if builder is None:
-        raise ValueError(
+        raise ConfigError(
             f"unknown fault preset {name!r}; choose from "
             f"{sorted(FAULT_PRESETS)}")
     return builder(world_size)

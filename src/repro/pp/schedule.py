@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, List, Optional, Tuple
 
+from repro.errors import ConfigError
 from repro.pp.analysis import ScheduleShape, warmup_forward_ops
 from repro.pp.registry import register_schedule, schedule_entry
 
@@ -259,7 +260,7 @@ def build_interleaved_1f1b(
     """The original interleaved 1F1B (Figure 2): fixes nc = pp, so nmb must
     be a multiple of pp — the constraint flexible PP removes."""
     if nmb % pp != 0:
-        raise ValueError(
+        raise ConfigError(
             f"interleaved 1F1B requires nmb ({nmb}) to be a multiple of "
             f"pp ({pp}); use the flexible schedule otherwise"
         )

@@ -14,11 +14,13 @@ communication/computation overlap (e.g. FSDP all-gather prefetch hidden
 under forward compute, Section 7.3.1).
 
 Fault injection composes with this overlap through *duration modifiers*
-(:meth:`Simulator.add_duration_modifier`): every submitted task's duration
-passes through the registered modifier chain, so a degraded link or a
-throttled GPU (:mod:`repro.faults`) stretches exactly the events it
-matches — including each participant's contribution to a collective — and
-any event a modifier perturbed is tagged ``"faulted"`` in the trace.
+(:meth:`Simulator.add_duration_modifier`, registered by
+:meth:`repro.faults.FaultPlan.install` — the engine's only way to perturb
+simulated time): every submitted task's duration passes through the
+registered modifier chain, so a degraded link or a throttled GPU
+(:mod:`repro.faults`) stretches exactly the events it matches —
+including each participant's contribution to a collective — and any
+event a modifier perturbed is tagged ``"faulted"`` in the trace.
 
 **Fast path.**  This is the hot module under everything — step graphs,
 fault fuzzing, detection matrices, multi-step Poisson runs — so the
@@ -334,7 +336,6 @@ class Simulator:
         name: str,
         after: Optional[Dict[int, Sequence[TraceEvent]]] = None,
         kind: str = "comm",
-        skew: Optional[Dict[int, float]] = None,
         tags: Tuple[str, ...] = (),
         failed_attempts: int = 0,
         retry_policy: Optional[RetryPolicy] = None,
@@ -344,8 +345,7 @@ class Simulator:
         Every participant joins at its own ready time; the collective's
         payload transfer begins only once the **slowest** participant has
         joined (this is what makes slow-rank localisation, Section 6.1,
-        possible: fast ranks show long collectives).  ``skew`` adds a
-        per-rank extra delay before joining, used for fault injection.
+        possible: fast ranks show long collectives).
 
         Registered duration modifiers apply per participant: the payload
         transfer takes the **maximum** of the per-rank modified durations,
@@ -377,11 +377,10 @@ class Simulator:
             for attempt in range(failed_attempts):
                 self._run_collective_once(
                     ranks, stream, policy.timeout_seconds,
-                    f"{name}#try{attempt}", after, kind, skew,
+                    f"{name}#try{attempt}", after, kind,
                     tags + ("retry",))
                 # Later attempts are gated by stream order alone.
                 after = None
-                skew = None
                 backoff = policy.backoff_seconds(attempt)
                 if backoff > 0:
                     for rank in ranks:
@@ -389,7 +388,7 @@ class Simulator:
                             rank, stream, backoff, f"{name}#backoff{attempt}",
                             kind=kind, tags=tags + ("retry", "backoff"))
         return self._run_collective_once(
-            ranks, stream, duration, name, after, kind, skew, tags)
+            ranks, stream, duration, name, after, kind, tags)
 
     def _run_collective_once(
         self,
@@ -399,7 +398,6 @@ class Simulator:
         name: str,
         after: Optional[Dict[int, Sequence[TraceEvent]]],
         kind: str,
-        skew: Optional[Dict[int, float]],
         tags: Tuple[str, ...],
     ) -> Dict[int, TraceEvent]:
         if not ranks:
@@ -408,8 +406,8 @@ class Simulator:
             raise ValueError(f"duplicate ranks in collective {name!r}")
         # One batched pass per quantity, instead of the reference's four
         # per-rank dict-building loops.  The common case — no modifiers,
-        # no deps, no skew — reduces to one stream lookup per rank and a
-        # single max() over the join times.
+        # no deps — reduces to one stream lookup per rank and a single
+        # max() over the join times.
         states = [self._stream(rank, stream) for rank in ranks]
         if self._modifiers:
             modified = [
@@ -428,9 +426,7 @@ class Simulator:
             payload = duration
             any_faulted = False
 
-        if after or skew:
-            after = after or {}
-            skew = skew or {}
+        if after:
             empty: Tuple[TraceEvent, ...] = ()
             join_times = []
             for rank, st in zip(ranks, states):
@@ -438,7 +434,7 @@ class Simulator:
                 for dep in after.get(rank, empty):
                     if dep.end > join:
                         join = dep.end
-                join_times.append(join + skew.get(rank, 0.0))
+                join_times.append(join)
         else:
             join_times = [st.free for st in states]
 
@@ -461,12 +457,6 @@ class Simulator:
             self._commit(st, event)
             events[rank] = event
         return events
-
-    def advance(self, rank: int, stream: str, until: float) -> None:
-        """Force a stream to be busy until a given time (models stalls)."""
-        st = self._stream(rank, stream)
-        if until > st.free:
-            st.free = until
 
     def record(self, event: TraceEvent) -> None:
         """Append an externally-timed event, advancing its stream.

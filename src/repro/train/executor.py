@@ -65,7 +65,6 @@ def execute_graph(
     graph: StepGraph,
     sim: Optional[Simulator] = None,
     start_times: Optional[Mapping[int, float]] = None,
-    rank_compute_scale: Optional[Mapping[int, float]] = None,
     metrics: Optional[MetricsRegistry] = None,
     op_tags: Optional[Mapping[int, Tuple[str, ...]]] = None,
 ) -> GraphExecution:
@@ -76,10 +75,6 @@ def execute_graph(
         sim: Simulator to record into (a fresh one by default).
         start_times: Optional per-rank earliest start applied to every op
             of the rank (models an externally-imposed release time).
-        rank_compute_scale: Per-rank COMPUTE-duration multipliers (>= 1
-            for a throttled GPU) — fault injection for the Section 8.1
-            performance-variation experiments.  Communication durations
-            are deliberately not scaled.
         metrics: Registry for op counts, op durations, and exposed-P2P
             wait seconds (keyed by PP rank).
         op_tags: Trace tags per op uid — how a fault-perturbed graph
@@ -87,13 +82,8 @@ def execute_graph(
             rewritten ops ``"faulted"`` in the timeline.  Tagged ops are
             also counted in the ``faults.injected_ops`` metric.
     """
-    if rank_compute_scale and any(
-        s <= 0 for s in rank_compute_scale.values()
-    ):
-        raise ValueError("rank_compute_scale factors must be positive")
     sim = sim or Simulator()
     start_times = start_times or {}
-    rank_compute_scale = rank_compute_scale or {}
     op_tags = op_tags or {}
 
     if metrics is not None:
@@ -133,7 +123,6 @@ def execute_graph(
             if ptr >= n_ops:
                 continue
             floor = start_times.get(rank, 0.0)
-            scale = rank_compute_scale.get(rank, 1.0)
             while ptr < n_ops:
                 op = prog[ptr]
                 ready = True
@@ -167,15 +156,12 @@ def execute_graph(
                         waits.append(wait)
                         if metrics is not None:
                             exposed_p2p.inc(wait.duration, rank=rank)
-                duration = op.duration
                 stream = op.stream
-                if stream == "compute":
-                    duration *= scale
                 tags = op_tags.get(op.uid, ()) if has_tags else ()
                 event = run(
                     rank=rank,
                     stream=stream,
-                    duration=duration,
+                    duration=op.duration,
                     name=op.name,
                     kind=("compute" if stream in COMPUTE_STREAMS
                           else "comm"),
@@ -330,7 +316,6 @@ def execute_pipeline(
     p2p_seconds: float,
     sim: Optional[Simulator] = None,
     start_times: Optional[Dict[int, float]] = None,
-    rank_compute_scale: Optional[Dict[int, float]] = None,
     metrics: Optional[MetricsRegistry] = None,
     backward_input_cost: Optional[CostFn] = None,
     backward_weight_cost: Optional[CostFn] = None,
@@ -349,9 +334,6 @@ def execute_pipeline(
         sim: Simulator to record into (a fresh one by default).
         start_times: Optional per-rank earliest start (models the exposed
             first FSDP all-gather).
-        rank_compute_scale: Per-rank compute-time multipliers (>= 1 for a
-            throttled GPU) — fault injection for the Section 8.1
-            performance-variation experiments.
         metrics: Registry to report op counts, op durations, and exposed
             P2P wait seconds into (keyed by PP rank).
 
@@ -365,6 +347,5 @@ def execute_pipeline(
         backward_input_cost=backward_input_cost,
         backward_weight_cost=backward_weight_cost)
     execution = execute_graph(
-        graph, sim=sim, start_times=start_times,
-        rank_compute_scale=rank_compute_scale, metrics=metrics)
+        graph, sim=sim, start_times=start_times, metrics=metrics)
     return summarize_pipeline_execution(execution, schedule, p2p_seconds)

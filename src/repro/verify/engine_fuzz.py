@@ -4,8 +4,8 @@ The fast path in :mod:`repro.sim.engine` promises *bitwise* equivalence
 with the pre-optimisation engine, which is frozen verbatim in
 ``tests/harness/reference_engine.py``.  This module samples random
 submission sequences — ``run`` tasks with dependency fans, synchronising
-collectives with skew/retry ladders, ``advance`` stalls, ``record``
-splices, and stateful duration-modifier chains — replays each sequence
+collectives with retry ladders, ``record`` splices, and stateful
+duration-modifier chains — replays each sequence
 through both engines, and diffs every observable: each
 :class:`TraceEvent` field, global and per-rank makespans, per-stream
 busy/idle accounting, and the ``events_for`` views.
@@ -16,8 +16,8 @@ the same sequences in the same order everywhere, so a failure's seed
 plus its shrunk sequence is a complete reproduction recipe.  Failures
 shrink to a minimal diverging submission sequence by dropping whole
 submissions (dependency references onto dropped submissions are patched
-out) and simplifying the survivors (deps, skew, retries, tags stripped
-one at a time).
+out) and simplifying the survivors (deps, retries, tags stripped one at
+a time).
 
 The ``engine`` hook mirrors ``fuzz.py``'s ``build`` hook: injecting a
 deliberately corrupted fast engine must make the harness report and
@@ -90,7 +90,7 @@ class SubmitOp:
     """
 
     uid: int
-    op: str  # "run" | "collective" | "advance" | "record"
+    op: str  # "run" | "collective" | "record"
     rank: int = 0
     ranks: Tuple[int, ...] = ()
     stream: str = "compute"
@@ -99,7 +99,6 @@ class SubmitOp:
     kind: str = "compute"
     deps: Tuple[int, ...] = ()
     not_before: float = 0.0
-    skew: Tuple[Tuple[int, float], ...] = ()
     tags: Tuple[str, ...] = ()
     failed_attempts: int = 0
     start: float = 0.0  # record only
@@ -114,11 +113,8 @@ class SubmitOp:
         if self.op == "collective":
             return (f"collective(uid={self.uid}, ranks={self.ranks}, "
                     f"stream={self.stream!r}, duration={self.duration!r}, "
-                    f"deps={self.deps}, skew={self.skew}, "
+                    f"deps={self.deps}, "
                     f"failed_attempts={self.failed_attempts})")
-        if self.op == "advance":
-            return (f"advance(uid={self.uid}, rank={self.rank}, "
-                    f"stream={self.stream!r}, until={self.duration!r})")
         return (f"record(uid={self.uid}, rank={self.rank}, "
                 f"stream={self.stream!r}, start={self.start!r}, "
                 f"end={self.end!r})")
@@ -126,7 +122,7 @@ class SubmitOp:
     def to_dict(self) -> dict:
         out = {"uid": self.uid, "op": self.op}
         for key in ("rank", "ranks", "stream", "duration", "name", "kind",
-                    "deps", "not_before", "skew", "tags",
+                    "deps", "not_before", "tags",
                     "failed_attempts", "start", "end"):
             value = getattr(self, key)
             if value not in ((), 0, 0.0, ""):
@@ -147,7 +143,7 @@ class EngineFuzzCase:
     def cost(self) -> int:
         """Size measure the shrinker minimises."""
         return (len(self.ops) + len(self.modifiers)
-                + sum(len(op.deps) + len(op.skew) + op.failed_attempts
+                + sum(len(op.deps) + op.failed_attempts
                       for op in self.ops))
 
     def describe(self) -> str:
@@ -215,7 +211,7 @@ def sample_case(
                 replace=False))
         ) if producers else ()
         tags = ("fuzz",) if rng.random() < 0.2 else ()
-        if draw < 0.55:
+        if draw < 0.6:
             ops.append(SubmitOp(
                 uid=uid, op="run", rank=int(rng.integers(0, world)),
                 stream=stream, duration=duration, name=f"op{uid}",
@@ -225,24 +221,17 @@ def sample_case(
                             if rng.random() < 0.2 else 0.0),
                 tags=tags))
             producers.append(uid)
-        elif draw < 0.82:
+        elif draw < 0.9:
             size = int(rng.integers(1, min(world, 5) + 1))
             ranks = tuple(int(r) for r in rng.choice(
                 world, size=size, replace=False))
-            skew = tuple(
-                (int(r), float(rng.random()) * 0.5)
-                for r in ranks if rng.random() < 0.25)
             ops.append(SubmitOp(
                 uid=uid, op="collective", ranks=ranks, stream=stream,
                 duration=duration, name=f"coll{uid}", kind="comm",
-                deps=deps, skew=skew, tags=tags,
+                deps=deps, tags=tags,
                 failed_attempts=(int(rng.integers(1, 3))
                                  if rng.random() < 0.15 else 0)))
             producers.append(uid)
-        elif draw < 0.92:
-            ops.append(SubmitOp(
-                uid=uid, op="advance", rank=int(rng.integers(0, world)),
-                stream=stream, duration=float(rng.random()) * 4.0))
         else:
             start = float(rng.random()) * 3.0
             ops.append(SubmitOp(
@@ -328,12 +317,9 @@ def replay_case(case: EngineFuzzCase, sim) -> Tuple[str, ...]:
                         after[rank] = deps
                 result = sim.run_collective(
                     list(op.ranks), op.stream, op.duration, op.name,
-                    after=after or None, kind=op.kind,
-                    skew=dict(op.skew) or None, tags=op.tags,
+                    after=after or None, kind=op.kind, tags=op.tags,
                     failed_attempts=op.failed_attempts)
                 events_by_uid[op.uid] = result
-            elif op.op == "advance":
-                sim.advance(op.rank, op.stream, op.duration)
             else:  # record
                 # Splice with the engine's own event class (the
                 # reference's dataclass vs the fast slotted record).
@@ -453,7 +439,7 @@ def _drop_uid(ops: Sequence[SubmitOp], uid: int) -> Tuple[SubmitOp, ...]:
 def case_neighbours(case: EngineFuzzCase) -> List[EngineFuzzCase]:
     """Strictly-smaller neighbours, biggest reduction first: whole
     submissions dropped (dependency references patched out), modifiers
-    dropped, then one simplification (deps, skew, retries, tags) per
+    dropped, then one simplification (deps, retries, tags) per
     submission."""
     out: List[EngineFuzzCase] = []
     for op in case.ops:
@@ -465,8 +451,6 @@ def case_neighbours(case: EngineFuzzCase) -> List[EngineFuzzCase]:
         simplified = None
         if op.deps:
             simplified = replace(op, deps=())
-        elif op.skew:
-            simplified = replace(op, skew=())
         elif op.failed_attempts:
             simplified = replace(op, failed_attempts=0)
         elif op.tags:

@@ -2,7 +2,7 @@
 
 Each workload is a function ``fn(sim) -> None`` that drives an engine
 exclusively through its public API — ``run``, ``run_collective``,
-``advance``, ``record``, ``add_duration_modifier`` — either directly or
+``record``, ``add_duration_modifier`` — either directly or
 through one of the real consumers (the step-graph executor, the fault
 workload, the resilience run simulator).  The differential tests run
 each workload once against the frozen reference engine and once against
@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Tuple
 
 from repro.debug.workload import WorkloadSpec, run_synthetic_workload
+from repro.faults.inject import apply_fault_plan
 from repro.faults.models import ComputeStraggler, DegradedLink, FaultPlan
 from repro.hardware.cluster import grand_teton
 from repro.model.config import LLAMA3_8B
@@ -34,7 +35,8 @@ from repro.pp.zoo import build_zero_bubble_schedule
 from repro.resilience import NoCheckpoint, RunConfig, YoungDaly, simulate_run
 from repro.sim.collectives import RetryPolicy
 from repro.train.cost import StageCost
-from repro.train.executor import execute_pipeline
+from repro.train.executor import execute_graph
+from repro.train.lowering import lower_pipeline
 from repro.train.step import simulate_step
 
 
@@ -70,20 +72,29 @@ def _step_workload(parallel: ParallelConfig, job: JobConfig, ngpu: int,
     return fn
 
 
+def _straggling_pipeline(sim, graph, rank: int, scale: float,
+                          **kwargs) -> None:
+    """Execute a lowered pipeline with one pipeline rank's compute
+    scaled by a fault plan (the Section 8.1 throttled GPU)."""
+    plan = FaultPlan((ComputeStraggler(rank=rank, extra_seconds=0.0,
+                                       scale=scale),))
+    graph, report = apply_fault_plan(
+        graph, plan, DeviceMesh(ParallelConfig(pp=len(graph.programs))))
+    execute_graph(graph, sim=sim, op_tags=report.tags_by_uid, **kwargs)
+
+
 def wl_pipeline_interleaved(sim) -> None:
     """Raw pipeline executor: interleaved schedule, synthetic costs."""
     shape = ScheduleShape(pp=4, v=2, nc=2, nmb=8)
-    schedule = build_flexible_schedule(shape)
-    layout = build_layout(n_layers=16, pp=4, v=2)
-    execute_pipeline(
-        schedule, layout,
+    graph = lower_pipeline(
+        build_flexible_schedule(shape),
+        build_layout(n_layers=16, pp=4, v=2),
         forward_cost=lambda s: StageCost(0.004 * s.n_layers, 0.001, 0.0005),
         backward_cost=lambda s: StageCost(0.008 * s.n_layers, 0.001, 0.0005),
         p2p_seconds=0.0003,
-        sim=sim,
-        start_times={0: 0.002},
-        rank_compute_scale={2: 1.3},
     )
+    _straggling_pipeline(sim, graph, rank=2, scale=1.3,
+                         start_times={0: 0.002})
 
 
 def wl_pipeline_zero_bubble(sim) -> None:
@@ -91,10 +102,9 @@ def wl_pipeline_zero_bubble(sim) -> None:
     critical path, deferred BW ops filling the drain, with explicit
     asymmetric BI/BW pricing and a straggling rank."""
     shape = ScheduleShape(pp=4, v=1, nc=4, nmb=8)
-    schedule = build_zero_bubble_schedule(shape)
-    layout = build_layout(n_layers=4, pp=4, v=1)
-    execute_pipeline(
-        schedule, layout,
+    graph = lower_pipeline(
+        build_zero_bubble_schedule(shape),
+        build_layout(n_layers=4, pp=4, v=1),
         forward_cost=lambda s: StageCost(0.004 * s.n_layers, 0.001, 0.0),
         backward_cost=lambda s: StageCost(0.008 * s.n_layers, 0.001, 0.0),
         backward_input_cost=lambda s: StageCost(
@@ -102,9 +112,8 @@ def wl_pipeline_zero_bubble(sim) -> None:
         backward_weight_cost=lambda s: StageCost(
             0.003 * s.n_layers, 0.0, 0.0),
         p2p_seconds=0.0003,
-        sim=sim,
-        rank_compute_scale={1: 1.2},
     )
+    _straggling_pipeline(sim, graph, rank=1, scale=1.2)
 
 
 # ----------------------------------------------------------------------
@@ -126,9 +135,14 @@ def wl_fault_plan(sim) -> None:
 
 
 def wl_slowdown(sim) -> None:
-    """Synthetic workload with the simple per-rank slowdown knob."""
-    run_synthetic_workload(_MESH_8, _SPEC, slowdown={1: 0.25, 6: 0.1},
-                           sim=sim)
+    """Synthetic workload with two padding stragglers (the per-rank
+    Section 6.1 slowdown shape) on different TP/CP groups."""
+    run_synthetic_workload(
+        _MESH_8, _SPEC, sim=sim,
+        faults=FaultPlan((
+            ComputeStraggler(rank=1, extra_seconds=0.25),
+            ComputeStraggler(rank=6, extra_seconds=0.1),
+        )))
 
 
 def wl_modifier_chains(sim) -> None:
@@ -171,16 +185,18 @@ def wl_retry_ladders(sim) -> None:
                          backoff_base_seconds=0.25, backoff_multiplier=3.0)
     sim.run_collective([0, 1], "comm", 0.1, "ar1", failed_attempts=3,
                        retry_policy=policy, tags=("grad",))
+    late = sim.run(2, "compute", 0.05, "late")
     sim.run_collective([2, 3], "comm", 0.1, "ar2",
-                       skew={2: 0.05}, failed_attempts=2)
+                       after={2: [late]}, failed_attempts=2)
 
 
 def wl_skewed_collectives(sim) -> None:
-    """Deps, skew, tags, and single-rank collectives interleaved."""
+    """Deps (skewed join times), tags, and single-rank collectives
+    interleaved."""
     deps = {r: [sim.run(r, "compute", 0.1 * (r + 1), f"fwd{r}")]
             for r in range(4)}
     sim.run_collective([0, 1, 2, 3], "comm", 0.3, "ag",
-                       after=deps, skew={1: 0.07}, tags=("fsdp",))
+                       after=deps, tags=("fsdp",))
     sim.run_collective([2], "comm", 0.2, "solo")
     sim.run_collective([3, 0], "comm", 0.15, "pair")  # unsorted ranks
     for r in range(4):
@@ -192,17 +208,16 @@ def wl_skewed_collectives(sim) -> None:
 # ----------------------------------------------------------------------
 
 def wl_record_splices(sim) -> None:
-    """record() splices interleaved with run(), advance(), zero-duration
-    tasks — the trace-merge code path."""
+    """record() splices interleaved with run(), not_before gaps and
+    zero-duration tasks — the trace-merge code path."""
     event_cls = type(sim.run(0, "compute", 0.2, "a"))
     sim.record(event_cls("spliced", "comm", 0, "compute", 0.05, 0.45,
                          (), ("merged",)))
     b = sim.run(0, "compute", 0.1, "b")  # starts at the splice's end
     sim.record(event_cls("zero", "compute", 1, "compute", 0.0, 0.0))
     sim.run(1, "compute", 0.0, "zero2", after=[b])
-    sim.advance(1, "compute", 2.0)
-    sim.run(1, "compute", 0.1, "late")
-    sim.advance(2, "p2p", 0.5)  # advance on a never-used stream
+    sim.run(1, "compute", 0.1, "late", not_before=2.0)
+    sim.run(2, "p2p", 0.1, "fresh", not_before=0.5)  # a never-used stream
     sim.record(event_cls("back_in_time", "comm", 0, "compute", 0.0, 0.1))
 
 

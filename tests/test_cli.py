@@ -116,6 +116,17 @@ class TestConfigErrors:
         (["phases", "--ngpu", "7"], "multiple of 8"),
         (["imbalance", "--cp", "0"], "seq and cp must be positive"),
         (["plan", "--ngpu", "8", "--gbs", "8"], "nearest is tp=8 pp=1"),
+        (["trace", "--cmd", "workload", "--tp", "4", "--cp", "2", "--pp",
+          "1", "--dp", "1", "--slow-rank", "6", "--slowdown", "0",
+          "--stdout"], "straggler must slow something down"),
+        (["trace", "--cmd", "workload", "--tp", "4", "--cp", "2", "--pp",
+          "1", "--dp", "1", "--slow-rank", "6", "--slowdown", "-2",
+          "--stdout"], "extra_seconds >= 0"),
+        (["step", "--model", "8b", "--ngpu", "8", "--gbs", "2", "--seq",
+          "512", "--tp", "2", "--cp", "1", "--pp", "4", "--dp", "1",
+          "--schedule", "1f1b"], "multiple of pp (4)"),
+        (["faults", "--fault", "straggler:rank=xx"], "cannot parse"),
+        (["faults", "--preset", "nope"], "unknown fault preset"),
     ])
     def test_exit_2_with_one_line(self, argv, fragment, capsys):
         assert main(argv) == 2

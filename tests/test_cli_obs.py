@@ -148,10 +148,14 @@ class TestTraceFlags:
 
 class TestUsageErrors:
     def _rc(self, argv, capsys):
-        with pytest.raises(SystemExit) as err:
-            main(argv)
-        stderr = capsys.readouterr().err
-        return err.value.code, stderr
+        """Exit code and stderr of a rejected invocation: flag checks
+        raise ``SystemExit(2)``; a ``ConfigError`` from the library
+        (e.g. a malformed fault spec) makes ``main`` return 2."""
+        try:
+            rc = main(argv)
+        except SystemExit as err:
+            rc = err.code
+        return rc, capsys.readouterr().err
 
     def test_unknown_model_exits_2(self, capsys):
         rc, stderr = self._rc(["plan", "--model", "9000b"], capsys)

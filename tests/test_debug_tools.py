@@ -10,6 +10,7 @@ from repro.debug.memory_snapshot import (
 )
 from repro.debug.trace_analysis import identify_slow_rank
 from repro.debug.workload import run_synthetic_workload
+from repro.faults import ComputeStraggler, FaultPlan
 from repro.parallel.config import ParallelConfig
 from repro.parallel.mesh import DeviceMesh
 from repro.pp.analysis import ScheduleShape
@@ -21,15 +22,16 @@ class TestFigure8Scenario:
     """The paper's worked example: 8 GPUs, (cp=2, tp=4)."""
 
     MESH = DeviceMesh(ParallelConfig(tp=4, cp=2))
+    FAULT = FaultPlan((ComputeStraggler(rank=6, extra_seconds=0.5),))
 
     def test_finds_injected_fault_on_rank_6(self):
-        sim = run_synthetic_workload(self.MESH, slowdown={6: 0.5})
+        sim = run_synthetic_workload(self.MESH, faults=self.FAULT)
         rep = identify_slow_rank(sim, self.MESH)
         assert rep.slow_rank == 6
         assert rep.attribution == "compute"
 
     def test_search_descends_cp_before_tp(self):
-        sim = run_synthetic_workload(self.MESH, slowdown={6: 0.5})
+        sim = run_synthetic_workload(self.MESH, faults=self.FAULT)
         rep = identify_slow_rank(sim, self.MESH)
         dims = [d.dim for d in rep.decisions]
         assert dims.index("cp") < dims.index("tp")
@@ -38,12 +40,12 @@ class TestFigure8Scenario:
         """Rank 2 shares a TP group with... no — rank 6's CP peer is rank
         2; rank 2 looks slow inside its TP group but must not be the
         verdict."""
-        sim = run_synthetic_workload(self.MESH, slowdown={6: 0.5})
+        sim = run_synthetic_workload(self.MESH, faults=self.FAULT)
         rep = identify_slow_rank(sim, self.MESH)
         assert rep.slow_rank != 2
 
     def test_describe_readable(self):
-        sim = run_synthetic_workload(self.MESH, slowdown={6: 0.5})
+        sim = run_synthetic_workload(self.MESH, faults=self.FAULT)
         text = identify_slow_rank(sim, self.MESH).describe()
         assert "slow rank: 6" in text
 
@@ -54,7 +56,8 @@ class TestTopDown4D:
     @settings(max_examples=16, deadline=None)
     @given(victim=st.integers(min_value=0, max_value=15))
     def test_any_fault_is_localised(self, victim):
-        sim = run_synthetic_workload(self.MESH, slowdown={victim: 0.7})
+        sim = run_synthetic_workload(self.MESH, faults=FaultPlan((
+            ComputeStraggler(rank=victim, extra_seconds=0.7),)))
         rep = identify_slow_rank(sim, self.MESH)
         assert rep.slow_rank == victim
 

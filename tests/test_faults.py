@@ -43,6 +43,10 @@ from repro.train.lowering import StepOpKind
 from repro.train.step import simulate_step
 
 GOLDEN = Path(__file__).parent / "golden" / "faults_8gpu.json"
+#: Float-hex timelines captured from the retired per-rank ``slowdown=``
+#: and ``rank_compute_scale=`` knobs, which a straggler fault plan now
+#: replaces bit for bit.
+FAULT_PATHS_GOLDEN = Path(__file__).parent / "golden" / "fault_paths.json"
 
 MESH_8 = DeviceMesh(ParallelConfig(tp=4, cp=2))
 
@@ -233,19 +237,28 @@ class TestFaultPresets:
 
 
 class TestWorkloadInjection:
-    def test_straggler_plan_equals_legacy_slowdown(self):
-        """The declarative straggler must reproduce the slowdown= path's
-        timeline exactly (same makespan, same per-rank compute)."""
-        from repro.debug.workload import run_synthetic_workload
+    def test_straggler_plan_matches_golden_slowdown_timelines(self):
+        """A padding straggler reproduces the retired ``slowdown=`` knob's
+        timelines bitwise (Figure 8 and a 512-GPU 4D mesh): every event's
+        start and end, in submission order.  Only the tags differ — the
+        plan marks the slowed compute ``faulted``."""
+        from repro.debug.workload import WorkloadSpec, run_synthetic_workload
 
-        legacy = run_synthetic_workload(MESH_8, slowdown={6: 0.5})
-        plan = FaultPlan((ComputeStraggler(rank=6, extra_seconds=0.5),))
-        faulted = run_synthetic_workload(MESH_8, faults=plan)
-        assert faulted.makespan() == pytest.approx(legacy.makespan())
-        for rank in range(8):
-            assert faulted.busy_time(rank) == pytest.approx(
-                legacy.busy_time(rank))
-        assert any("faulted" in e.tags for e in faulted.events)
+        golden = json.loads(FAULT_PATHS_GOLDEN.read_text())
+        for case in golden["workloads"]:
+            plan = FaultPlan((ComputeStraggler(
+                rank=case["rank"], extra_seconds=case["extra_seconds"]),))
+            sim = run_synthetic_workload(
+                DeviceMesh(ParallelConfig(**case["parallel"])),
+                WorkloadSpec(**case["spec"]), faults=plan)
+            events = sim.events
+            assert len(events) == case["n_events"], case["name"]
+            times = [float.fromhex(h) for h in case["times"]]
+            expected = [times[i] for i in case["events"]]
+            actual = [t for e in events for t in (e.start, e.end)]
+            assert actual == expected, case["name"]
+            faulted = {e.rank for e in events if "faulted" in e.tags}
+            assert faulted == {case["rank"]}, case["name"]
 
     def test_degraded_link_stretches_only_its_dim(self):
         from repro.debug.workload import run_synthetic_workload

@@ -237,9 +237,11 @@ class TestInstrumentedPaths:
     def test_slow_rank_emits_structured_events(self):
         from repro.debug.trace_analysis import identify_slow_rank
         from repro.debug.workload import run_synthetic_workload
+        from repro.faults import ComputeStraggler, FaultPlan
 
         mesh = DeviceMesh(ParallelConfig(tp=4, cp=2))
-        sim = run_synthetic_workload(mesh, slowdown={6: 0.5})
+        sim = run_synthetic_workload(mesh, faults=FaultPlan((
+            ComputeStraggler(rank=6, extra_seconds=0.5),)))
         reg = MetricsRegistry()
         report = identify_slow_rank(sim, mesh, metrics=reg)
         assert report.slow_rank == 6

@@ -8,6 +8,7 @@ import pytest
 from repro.cp.imbalance import simulate_fleet_imbalance
 from repro.debug.trace_analysis import identify_slow_rank
 from repro.debug.workload import run_synthetic_workload
+from repro.faults import ComputeStraggler, FaultPlan
 from repro.hardware.cluster import grand_teton
 from repro.model.config import LLAMA3_8B
 from repro.obs.report import (
@@ -113,7 +114,8 @@ class TestImbalanceReport:
 class TestSlowRankReport:
     def test_decisions_are_structured_events(self):
         mesh = DeviceMesh(ParallelConfig(tp=4, cp=2))
-        sim = run_synthetic_workload(mesh, slowdown={6: 0.5})
+        sim = run_synthetic_workload(mesh, faults=FaultPlan((
+            ComputeStraggler(rank=6, extra_seconds=0.5),)))
         rep = slow_rank_report(identify_slow_rank(sim, mesh))
         assert rep["schema"] == f"repro.slow_rank/v{SCHEMA_VERSION}"
         assert rep["slow_rank"] == 6

@@ -55,13 +55,6 @@ class TestCollective:
         events = sim.run_collective([0, 1], "compute", 0.2, "ag")
         assert events[1].duration < events[0].duration
 
-    def test_skew_injection(self):
-        sim = Simulator()
-        events = sim.run_collective([0, 1], "compute", 1.0, "ag",
-                                    skew={1: 2.0})
-        assert events[1].start == 2.0
-        assert events[0].end == 3.0
-
     def test_duplicate_ranks_rejected(self):
         with pytest.raises(ValueError):
             Simulator().run_collective([0, 0], "compute", 1.0, "bad")
@@ -113,9 +106,3 @@ class TestInspection:
         rows = trace_event_dicts(self._three_rank_sim())
         spans = [r for r in rows if r.get("ph") == "X"]
         assert spans[0]["ts"] == 0.0 and spans[0]["dur"] == 2e6
-
-    def test_advance_blocks_stream(self):
-        sim = Simulator()
-        sim.advance(0, "compute", 5.0)
-        e = sim.run(0, "compute", 1.0, "x")
-        assert e.start == 5.0

@@ -2,12 +2,12 @@
 
 Each class pins one corner the differential harness found load-bearing
 while rewriting the engine: record() splices interleaved with run(),
-advance() beyond and behind the frontier, zero-duration tasks, modifier
-chains that restore the original duration (must NOT be tagged
-``faulted`` — the rule is ``modified != original``, not "modifiers
-ran"), collective group validation, ``TraceEvent.replace`` field
-checking, ``RankFold`` validation, and the incremental busy/idle
-accounting identity ``busy + idle == makespan`` under fault injection.
+zero-duration tasks, modifier chains that restore the original duration
+(must NOT be tagged ``faulted`` — the rule is ``modified != original``,
+not "modifiers ran"), collective group validation,
+``TraceEvent.replace`` field checking, ``RankFold`` validation, and the
+incremental busy/idle accounting identity ``busy + idle == makespan``
+under fault injection.
 """
 
 import pytest
@@ -50,29 +50,6 @@ class TestRecordSplices:
         pairs = sim.overlapping_events()
         assert any({p[0].name, p[1].name} == {"a", "intruder"}
                    for p in pairs)
-
-
-class TestAdvance:
-    def test_advance_past_existing_events(self):
-        sim = Simulator()
-        sim.run(0, "compute", 1.0, "a")
-        sim.advance(0, "compute", 10.0)
-        b = sim.run(0, "compute", 1.0, "b")
-        assert b.start == 10.0
-
-    def test_advance_backwards_is_a_noop(self):
-        sim = Simulator()
-        sim.run(0, "compute", 5.0, "a")
-        sim.advance(0, "compute", 2.0)
-        b = sim.run(0, "compute", 1.0, "b")
-        assert b.start == 5.0
-
-    def test_advance_adds_no_events_and_no_busy_time(self):
-        sim = Simulator()
-        sim.advance(1, "tp", 7.0)
-        assert sim.events == []
-        assert sim.busy_time(1, "tp") == 0.0
-        assert sim.now(1, "tp") == 7.0
 
 
 class TestZeroDuration:
@@ -229,7 +206,7 @@ class TestBusyIdleAccounting:
     def test_accounting_survives_record_and_advance(self):
         sim = Simulator()
         sim.run(0, "compute", 1.5, "a")
-        sim.advance(0, "compute", 4.0)
+        # The splice lands after a gap and advances the stream frontier.
         sim.record(TraceEvent("spliced", "comm", 0, "compute", 4.0, 6.0))
         sim.run(0, "compute", 0.5, "b")
         assert sim.makespan() == 6.5
