@@ -584,7 +584,7 @@ def _parse_topology(spec: str) -> tuple:
                 raise ValueError(spec)
             return int(left.strip()), int(right.strip())
         except ValueError:
-            raise ValueError(
+            raise ConfigError(
                 f"bad topology {spec!r}; expected "
                 "<nodes-per-rack>x<racks-per-pod> (e.g. 8x32)") from None
     fields = {"nodes-per-rack": None, "racks-per-pod": None}
@@ -592,18 +592,18 @@ def _parse_topology(spec: str) -> tuple:
         key, eq, value = part.partition("=")
         key = key.strip()
         if not eq or key not in fields:
-            raise ValueError(
+            raise ConfigError(
                 f"bad topology field {part!r}; expected "
                 f"{sorted(fields)} as key=value pairs")
         try:
             fields[key] = int(value.strip())
         except ValueError:
-            raise ValueError(
+            raise ConfigError(
                 f"cannot parse topology value {part!r} as an integer"
             ) from None
     missing = [k for k, v in fields.items() if v is None]
     if missing:
-        raise ValueError(f"topology {spec!r} is missing {missing}")
+        raise ConfigError(f"topology {spec!r} is missing {missing}")
     return fields["nodes-per-rack"], fields["racks-per-pod"]
 
 
@@ -624,27 +624,24 @@ def cmd_run(args: argparse.Namespace) -> int:
     cluster = grand_teton(args.ngpu)
     job = JobConfig(seq=args.seq, gbs=args.gbs, ngpu=args.ngpu)
     model = _moe_model(args)
-    try:
-        if args.topology is not None:
-            nodes_per_rack, racks_per_pod = _parse_topology(args.topology)
-            cluster = dc_replace(cluster, nodes_per_rack=nodes_per_rack,
-                                 racks_per_pod=racks_per_pod)
-        policy = parse_policy(args.policy)
-        detector = (parse_detector(args.detector)
-                    if args.detector is not None else DetectorModel())
-        config = RunConfig(
-            steps=args.steps,
-            mtbf_seconds=args.mtbf,
-            policy=policy,
-            seed=args.seed,
-            elastic=not args.wait_for_replacement,
-            replacement_seconds=args.replacement,
-            taxonomy=parse_taxonomy(args.taxonomy),
-            mitigation=args.mitigation,
-            detector=detector,
-        )
-    except ValueError as err:
-        _fail(str(err))
+    if args.topology is not None:
+        nodes_per_rack, racks_per_pod = _parse_topology(args.topology)
+        cluster = dc_replace(cluster, nodes_per_rack=nodes_per_rack,
+                             racks_per_pod=racks_per_pod)
+    policy = parse_policy(args.policy)
+    detector = (parse_detector(args.detector)
+                if args.detector is not None else DetectorModel())
+    config = RunConfig(
+        steps=args.steps,
+        mtbf_seconds=args.mtbf,
+        policy=policy,
+        seed=args.seed,
+        elastic=not args.wait_for_replacement,
+        replacement_seconds=args.replacement,
+        taxonomy=parse_taxonomy(args.taxonomy),
+        mitigation=args.mitigation,
+        detector=detector,
+    )
     metrics = MetricsRegistry()
     try:
         result = simulate_run(model, job, cluster, config, metrics=metrics,

@@ -285,11 +285,12 @@ def resilience_report(result: "RunResult") -> dict:
             "elastic": cfg.elastic,
             "replacement_seconds": cfg.replacement_seconds,
             "restart_overhead_seconds": cfg.restart_overhead_seconds,
-            "node_loss_fraction": cfg.node_loss_fraction,
-            "retry_fraction": cfg.retry_fraction,
-            "retry_success_p": cfg.retry_success_p,
+            # v1 keys, mirrored from the taxonomy that drives the run.
+            "node_loss_fraction": cfg.taxonomy.node_loss_fraction,
+            "retry_fraction": cfg.taxonomy.retry_fraction,
+            "retry_success_p": cfg.taxonomy.retry_success_p,
             "retry_policy": cfg.retry_policy.to_dict(),
-            "taxonomy": cfg.effective_taxonomy.to_dict(),
+            "taxonomy": cfg.taxonomy.to_dict(),
             "mitigation": cfg.mitigation,
             "detector": cfg.detector.to_dict(),
         },

@@ -37,8 +37,6 @@ from repro.resilience.policy import (
     NoCheckpoint,
     YoungDaly,
     checkpoint_bytes,
-    checkpoint_read_seconds,
-    checkpoint_write_seconds,
     parse_policy,
     shard_transfer_seconds,
 )
@@ -79,8 +77,6 @@ __all__ = [
     "NoCheckpoint",
     "YoungDaly",
     "checkpoint_bytes",
-    "checkpoint_read_seconds",
-    "checkpoint_write_seconds",
     "parse_policy",
     "shard_transfer_seconds",
     "BUCKETS",

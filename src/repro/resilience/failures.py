@@ -42,6 +42,8 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from repro.errors import ConfigError
+
 #: Failure taxonomy kinds, in classification-band order.
 FAILURE_KINDS = ("node_loss", "collective_retry", "rack_loss", "pod_loss",
                  "gray", "silent_corruption", "transient_straggler")
@@ -90,18 +92,18 @@ class FailureTaxonomy:
                      "gray_compute_fraction"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1] (got {value})")
+                raise ConfigError(f"{name} must be in [0, 1] (got {value})")
         total = (self.node_loss_fraction + self.retry_fraction
                  + self.rack_loss_fraction + self.pod_loss_fraction
                  + self.gray_fraction + self.corruption_fraction)
         if total > 1.0 + 1e-12:
-            raise ValueError(
+            raise ConfigError(
                 f"classification fractions sum to {total:.3f} > 1 "
                 "(the remainder must be left for transient stragglers)")
         if not 0.0 < self.retry_success_p <= 1.0:
-            raise ValueError("retry_success_p must be in (0, 1]")
+            raise ConfigError("retry_success_p must be in (0, 1]")
         if self.gray_compute_scale <= 1.0 or self.gray_link_scale <= 1.0:
-            raise ValueError("gray scales must be > 1 (1.0 = healthy)")
+            raise ConfigError("gray scales must be > 1 (1.0 = healthy)")
 
     @property
     def has_gray(self) -> bool:
@@ -189,14 +191,14 @@ def parse_taxonomy(spec: str) -> FailureTaxonomy:
     ``rack``, ``pod``, ``gray``, ``corruption`` (classification
     fractions), ``retry-p``, ``gray-compute``, ``gray-compute-scale``,
     ``gray-link-scale``.  A spec starts from the ``iid`` defaults and
-    overrides the named fields.  Raises ``ValueError`` with a usage hint
-    on any malformed spec.
+    overrides the named fields.  Raises :class:`~repro.errors.ConfigError`
+    with a usage hint on any malformed spec.
     """
     spec = spec.strip()
     if spec in TAXONOMY_PRESETS:
         return TAXONOMY_PRESETS[spec]
     if "=" not in spec:
-        raise ValueError(
+        raise ConfigError(
             f"unknown taxonomy {spec!r}; choose a preset from "
             f"{sorted(TAXONOMY_PRESETS)} or give key=value pairs "
             f"({sorted(_TAXONOMY_KEYS)})")
@@ -205,19 +207,19 @@ def parse_taxonomy(spec: str) -> FailureTaxonomy:
         key, eq, value = part.partition("=")
         field = _TAXONOMY_KEYS.get(key.strip())
         if not eq or field is None:
-            raise ValueError(
+            raise ConfigError(
                 f"bad taxonomy field {part!r}; expected one of "
                 f"{sorted(_TAXONOMY_KEYS)}")
         try:
             overrides[field] = float(value.strip())
         except ValueError:
-            raise ValueError(
+            raise ConfigError(
                 f"cannot parse taxonomy value {part!r} as a number"
             ) from None
     try:
         return replace(FailureTaxonomy(), **overrides)
     except ValueError as err:
-        raise ValueError(f"invalid taxonomy {spec!r}: {err}") from None
+        raise ConfigError(f"invalid taxonomy {spec!r}: {err}") from None
 
 
 @dataclass(frozen=True)
@@ -266,36 +268,21 @@ class FailureProcess:
             kind).  The paper's operational premise: at 16K GPUs this is
             hours, not days.
         seed: RNG seed; same seed → same absolute failure sequence.
-        node_loss_fraction / retry_fraction / retry_success_p: Legacy
-            (PR 5) classification knobs, kept for compatibility; they
-            build an iid fail-stop taxonomy when ``taxonomy`` is None.
-        taxonomy: Full classification taxonomy (overrides the legacy
-            knobs when given).
+        taxonomy: Per-arrival classification (default: the ``iid``
+            preset, the legacy fail-stop process).
     """
 
     def __init__(
         self,
         mtbf_seconds: float,
         seed: int = 0,
-        node_loss_fraction: float = 0.4,
-        retry_fraction: float = 0.3,
-        retry_success_p: float = 0.6,
         taxonomy: Optional[FailureTaxonomy] = None,
     ) -> None:
         if mtbf_seconds <= 0:
             raise ValueError("mtbf_seconds must be > 0")
-        if taxonomy is None:
-            taxonomy = FailureTaxonomy(
-                node_loss_fraction=node_loss_fraction,
-                retry_fraction=retry_fraction,
-                retry_success_p=retry_success_p,
-            )
         self.mtbf_seconds = mtbf_seconds
         self.seed = seed
-        self.taxonomy = taxonomy
-        self.node_loss_fraction = taxonomy.node_loss_fraction
-        self.retry_fraction = taxonomy.retry_fraction
-        self.retry_success_p = taxonomy.retry_success_p
+        self.taxonomy = taxonomy if taxonomy is not None else FailureTaxonomy()
         self._rng = np.random.default_rng(seed)
         self._clock = 0.0
 
@@ -310,7 +297,7 @@ class FailureProcess:
         gap = float(self._rng.exponential(self.mtbf_seconds))
         u_kind = float(self._rng.random())
         where = float(self._rng.random())
-        attempts = int(self._rng.geometric(self.retry_success_p))
+        attempts = int(self._rng.geometric(self.taxonomy.retry_success_p))
         self._clock += gap
         kind, gray_kind = self.taxonomy.classify(u_kind)
         return FailureEvent(
@@ -325,8 +312,5 @@ class FailureProcess:
         return {
             "mtbf_seconds": self.mtbf_seconds,
             "seed": self.seed,
-            "node_loss_fraction": self.node_loss_fraction,
-            "retry_fraction": self.retry_fraction,
-            "retry_success_p": self.retry_success_p,
             "taxonomy": self.taxonomy.to_dict(),
         }

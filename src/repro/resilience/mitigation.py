@@ -33,10 +33,10 @@ simulate_run`:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
+from repro.errors import ConfigError
 from repro.faults.models import ComputeStraggler, DegradedLink, FaultPlan
 from repro.parallel.config import ParallelConfig
 
@@ -64,11 +64,11 @@ class DetectorModel:
 
     def __post_init__(self) -> None:
         if self.latency_steps < 0:
-            raise ValueError("latency_steps must be >= 0")
+            raise ConfigError("latency_steps must be >= 0")
         for name in ("false_negative_rate", "false_positive_rate"):
             value = getattr(self, name)
             if not 0.0 <= value < 1.0:
-                raise ValueError(f"{name} must be in [0, 1) (got {value})")
+                raise ConfigError(f"{name} must be in [0, 1) (got {value})")
 
     def rng(self, seed: int) -> np.random.Generator:
         """The detector's own stream for a given run seed."""
@@ -105,13 +105,13 @@ def parse_detector(spec: str) -> DetectorModel:
         key, eq, value = part.partition("=")
         field = fields.get(key.strip())
         if not eq or field is None:
-            raise ValueError(
+            raise ConfigError(
                 f"bad detector field {part!r}; expected "
                 f"{sorted(fields)} as key=value pairs")
         try:
             number = float(value.strip())
         except ValueError:
-            raise ValueError(
+            raise ConfigError(
                 f"cannot parse detector value {part!r} as a number"
             ) from None
         kwargs[field] = int(number) if field == "latency_steps" else number

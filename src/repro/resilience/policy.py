@@ -1,4 +1,4 @@
-"""Checkpoint/restart policies and checkpoint cost pricing.
+"""Checkpoint/restart policies and the checkpoint payload.
 
 A policy answers one question: *after how many steps should the run pay
 for a checkpoint?*  Its inputs are the three quantities the classical
@@ -10,8 +10,10 @@ The checkpoint write itself is priced from first principles rather than
 assumed: the payload is the training state the run must persist to
 resume exactly (:func:`repro.model.memory.training_state_bytes` — BF16
 weights plus full Adam state), sharded evenly across the nodes doing the
-writing, against the per-node checkpoint bandwidth of the cluster
-(:meth:`repro.hardware.cluster.ClusterSpec.checkpoint_bandwidth_per_node`).
+writing, against the per-node bandwidth of the tier it lands on
+(:func:`repro.resilience.tiers.tier_write_seconds`).  A single-tier
+policy here is the ``remote`` tier alone — the durable store behind
+:meth:`repro.hardware.cluster.ClusterSpec.checkpoint_bandwidth_per_node`.
 
 :class:`YoungDaly` implements the classical optimum
 ``W_opt = sqrt(2 * C * MTBF)`` (Young 1974, Daly 2006): checkpoint when
@@ -24,7 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from repro.hardware.cluster import ClusterSpec
+from repro.errors import ConfigError
 from repro.model.config import TextModelConfig
 from repro.model.memory import training_state_bytes
 
@@ -60,42 +62,6 @@ def shard_transfer_seconds(
     return payload_bytes / nodes / bandwidth_per_node
 
 
-def checkpoint_write_seconds(
-    model: TextModelConfig, cluster: ClusterSpec, ngpu: int,
-    payload_bytes: Optional[float] = None,
-) -> float:
-    """Seconds to persist one checkpoint from an ``ngpu``-GPU fleet.
-
-    The state is sharded across the fleet (every rank owns a disjoint
-    optimizer shard under ZeRO), so all nodes write their share in
-    parallel and the wall time is the per-node share over the per-node
-    checkpoint bandwidth.  ``payload_bytes`` overrides the model-derived
-    payload (used by tests and by incremental-checkpoint what-ifs).
-    """
-    if ngpu < 1:
-        raise ValueError("ngpu must be >= 1")
-    if payload_bytes is None:
-        payload_bytes = checkpoint_bytes(model)
-    nodes = max(ngpu // cluster.gpus_per_node, 1)
-    return shard_transfer_seconds(
-        payload_bytes, nodes, cluster.checkpoint_bandwidth_per_node())
-
-
-def checkpoint_read_seconds(
-    model: TextModelConfig, cluster: ClusterSpec, ngpu: int,
-    payload_bytes: Optional[float] = None,
-) -> float:
-    """Seconds to restore a checkpoint onto an ``ngpu``-GPU fleet.
-
-    Symmetric to the write: every node pulls its shard in parallel.  A
-    shrunken fleet reads the same global payload over fewer nodes, so
-    restores get slower as capacity is lost — which the elastic-replan
-    path in :mod:`repro.resilience.run` prices per segment.
-    """
-    return checkpoint_write_seconds(model, cluster, ngpu,
-                                    payload_bytes=payload_bytes)
-
-
 @dataclass(frozen=True)
 class NoCheckpoint:
     """Baseline: never checkpoint; any failure restarts from step 0."""
@@ -125,7 +91,7 @@ class FixedInterval:
 
     def __post_init__(self) -> None:
         if self.every_steps < 1:
-            raise ValueError("every_steps must be >= 1")
+            raise ConfigError("every_steps must be >= 1")
 
     def interval_steps(
         self, step_seconds: float, checkpoint_seconds: float,
@@ -180,7 +146,8 @@ def parse_policy(spec: str) -> CheckpointPolicy:
     ``tiered:...`` (see :func:`repro.resilience.tiers.parse_tiered_policy`
     for the tiered grammar).
 
-    Raises ``ValueError`` with a usage hint on any malformed spec.
+    Raises :class:`~repro.errors.ConfigError` with a usage hint on any
+    malformed spec.
     """
     head, _, rest = spec.partition(":")
     head = head.strip()
@@ -192,13 +159,13 @@ def parse_policy(spec: str) -> CheckpointPolicy:
         try:
             return FixedInterval(every_steps=int(rest.strip()))
         except ValueError:
-            raise ValueError(
+            raise ConfigError(
                 f"bad fixed-interval policy {spec!r}; expected fixed:<steps>"
             ) from None
     if head == "tiered":
         # Local import: tiers builds on this module's pricing helpers.
         from repro.resilience.tiers import parse_tiered_policy
         return parse_tiered_policy(spec)
-    raise ValueError(
+    raise ConfigError(
         f"unknown policy {spec!r}; choose none | young-daly | "
         "fixed:<steps> | tiered:...")

@@ -59,6 +59,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
+from repro.errors import ConfigError
 from repro.faults.models import fault_preset
 from repro.hardware.cluster import ClusterSpec
 from repro.model.config import TextModelConfig
@@ -66,7 +67,12 @@ from repro.obs.metrics import MetricsRegistry
 from repro.parallel.config import JobConfig
 from repro.parallel.planner import Plan, plan_parallelism, replan_for_gpu_count
 from repro.pp.registry import schedule_entry
-from repro.resilience.failures import FailureProcess, FailureTaxonomy
+from repro.resilience.failures import (
+    CORRELATED_DOMAINS,
+    FailureEvent,
+    FailureProcess,
+    FailureTaxonomy,
+)
 from repro.resilience.mitigation import (
     DetectorModel,
     MitigationDecision,
@@ -74,15 +80,11 @@ from repro.resilience.mitigation import (
     gray_fault_plan,
     localise_gray_fault,
 )
-from repro.resilience.policy import (
-    CheckpointPolicy,
-    YoungDaly,
-    checkpoint_read_seconds,
-    checkpoint_write_seconds,
-)
+from repro.resilience.policy import CheckpointPolicy, YoungDaly
 from repro.resilience.tiers import (
     TIER_NAMES,
     TieredCheckpoint,
+    tier_intervals as derive_tier_intervals,
     tier_read_seconds,
     tier_survives,
     tier_write_seconds,
@@ -118,15 +120,11 @@ class RunConfig:
     #: launch, NCCL (re)initialisation — paid before any restore I/O.
     restart_overhead_seconds: float = 120.0
     retry_policy: RetryPolicy = DEFAULT_RETRY_POLICY
-    node_loss_fraction: float = 0.4
-    retry_fraction: float = 0.3
-    retry_success_p: float = 0.6
     #: Safety valve: a no-checkpoint run under a harsh MTBF may never
     #: finish; stop (``completed=False``) after this many step attempts.
     max_step_attempts: Optional[int] = None
-    #: Full failure taxonomy; ``None`` builds the legacy iid fail-stop
-    #: taxonomy from the three fraction knobs above.
-    taxonomy: Optional[FailureTaxonomy] = None
+    #: The failure model (default: the ``iid`` fail-stop preset).
+    taxonomy: FailureTaxonomy = field(default_factory=FailureTaxonomy)
     #: What to do about gray failures: ``tolerate`` runs degraded
     #: forever; ``detect`` arms the Section 6.1 detect–mitigate loop.
     mitigation: str = "tolerate"
@@ -134,13 +132,13 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         if self.steps < 1:
-            raise ValueError("steps must be >= 1")
+            raise ConfigError("steps must be >= 1")
         if self.mtbf_seconds <= 0:
-            raise ValueError("mtbf_seconds must be > 0")
+            raise ConfigError("mtbf_seconds must be > 0")
         if self.replacement_seconds < 0 or self.restart_overhead_seconds < 0:
-            raise ValueError("recovery costs must be >= 0")
+            raise ConfigError("recovery costs must be >= 0")
         if self.mitigation not in MITIGATIONS:
-            raise ValueError(
+            raise ConfigError(
                 f"mitigation must be one of {MITIGATIONS} "
                 f"(got {self.mitigation!r})")
 
@@ -149,17 +147,6 @@ class RunConfig:
         if self.max_step_attempts is not None:
             return self.max_step_attempts
         return max(50 * self.steps, 1000)
-
-    @property
-    def effective_taxonomy(self) -> FailureTaxonomy:
-        """The taxonomy actually driving the failure process."""
-        if self.taxonomy is not None:
-            return self.taxonomy
-        return FailureTaxonomy(
-            node_loss_fraction=self.node_loss_fraction,
-            retry_fraction=self.retry_fraction,
-            retry_success_p=self.retry_success_p,
-        )
 
 
 @dataclass(frozen=True)
@@ -170,10 +157,8 @@ class FleetSegment:
     plan: Plan
     step_seconds: float
     straggler_extra_seconds: float
-    checkpoint_write_seconds: float
-    checkpoint_read_seconds: float
-    tier_write_seconds: Dict[str, float] = field(default_factory=dict)
-    tier_read_seconds: Dict[str, float] = field(default_factory=dict)
+    tier_write_seconds: Dict[str, float]
+    tier_read_seconds: Dict[str, float]
 
     def to_dict(self) -> dict:
         par = self.plan.parallel
@@ -185,8 +170,9 @@ class FleetSegment:
             "schedule": self.plan.schedule,
             "step_seconds": self.step_seconds,
             "straggler_extra_seconds": self.straggler_extra_seconds,
-            "checkpoint_write_seconds": self.checkpoint_write_seconds,
-            "checkpoint_read_seconds": self.checkpoint_read_seconds,
+            # The single-tier (remote) price, kept for v1 report rows.
+            "checkpoint_write_seconds": self.tier_write_seconds["remote"],
+            "checkpoint_read_seconds": self.tier_read_seconds["remote"],
             "tier_write_seconds": dict(sorted(
                 self.tier_write_seconds.items())),
             "tier_read_seconds": dict(sorted(
@@ -275,10 +261,6 @@ def _price_segment(
         step_seconds=healthy.step_seconds,
         straggler_extra_seconds=max(
             straggled.step_seconds - healthy.step_seconds, 0.0),
-        checkpoint_write_seconds=checkpoint_write_seconds(
-            model, cluster, ngpu),
-        checkpoint_read_seconds=checkpoint_read_seconds(
-            model, cluster, ngpu),
         tier_write_seconds={
             tier: tier_write_seconds(tier, model, cluster, ngpu)
             for tier in TIER_NAMES},
@@ -306,7 +288,9 @@ def simulate_run(
     The checkpoint interval(s) are derived once, from the *initial*
     fleet's step and per-tier checkpoint prices — matching practice,
     where the interval is an operator setting, not something retuned
-    mid-incident.
+    mid-incident.  A single-tier policy is the ``remote`` tier alone:
+    it is priced, written and restored exactly like a tiered policy
+    with only that tier set, and differs only in its event labels.
 
     Failure semantics per arrival kind:
 
@@ -334,7 +318,7 @@ def simulate_run(
     from step 0 when nothing survives (or under :class:`NoCheckpoint`).
     """
     sim = sim if sim is not None else Simulator()
-    taxonomy = config.effective_taxonomy
+    taxonomy = config.taxonomy
     proc = FailureProcess(
         config.mtbf_seconds, seed=config.seed, taxonomy=taxonomy)
     if schedule_kind is not None:
@@ -359,15 +343,13 @@ def simulate_run(
 
     seg = segment_for(job.ngpu)
     ideal_step = seg.step_seconds
-    tiered_mode = isinstance(config.policy, TieredCheckpoint)
-    if tiered_mode:
-        tier_intervals = config.policy.tier_intervals(
-            seg.step_seconds, seg.tier_write_seconds, config.mtbf_seconds)
-    else:
-        tier_intervals = {"remote": config.policy.interval_steps(
-            seg.step_seconds, seg.checkpoint_write_seconds,
-            config.mtbf_seconds)}
+    tier_intervals = derive_tier_intervals(
+        config.policy, seg.step_seconds, seg.tier_write_seconds,
+        config.mtbf_seconds)
     interval = tier_intervals.get("remote")
+    # Event labels: single-tier runs keep the v1 names
+    # (``checkpoint:{step}``, ``restore:step{step}``) and no tier tag.
+    tiered = isinstance(config.policy, TieredCheckpoint)
 
     buckets = {name: 0.0 for name in BUCKETS}
     counters = {
@@ -402,7 +384,9 @@ def simulate_run(
     corruption_onset: Optional[float] = None
     # Active gray faults: {"kind", "rank", "age", "tolerated", "given_up"}.
     active_gray: List[dict] = []
-    gray_tax_cache: Dict[tuple, float] = {}
+    # Per gray fault on a segment: its step tax and whether the Section
+    # 6.1 search localises it, each computed at most once.
+    gray_facts: Dict[tuple, object] = {}
     armed = config.mitigation == "detect" and taxonomy.has_gray
     det_rng = config.detector.rng(config.seed) if armed else None
 
@@ -448,22 +432,16 @@ def simulate_run(
                 best = rec
         return best
 
-    def ckpt_name(tier: str, step: int) -> str:
-        # Legacy single-tier runs keep the v1 event names byte-for-byte.
-        return (f"checkpoint:{tier}:{step}" if tiered_mode
-                else f"checkpoint:{step}")
-
-    def restore_name(tier: str, step: int) -> str:
-        return (f"restore:{tier}:step{step}" if tiered_mode
-                else f"restore:step{step}")
+    def tier_label(tier: str) -> tuple:
+        """(name infix, tags) naming ``tier`` on checkpoint events."""
+        return (f"{tier}:", (tier,)) if tiered else ("", ())
 
     def write_checkpoint(tier: str, extra_tags: tuple = ()) -> None:
-        nonlocal t, corruption_onset
-        cost = (seg.checkpoint_write_seconds if not tiered_mode
-                else seg.tier_write_seconds[tier])
-        emit("io", cost, ckpt_name(tier, done), "io",
-             ("checkpoint",) + ((tier,) if tiered_mode else ())
-             + extra_tags)
+        nonlocal t
+        cost = seg.tier_write_seconds[tier]
+        infix, tier_tags = tier_label(tier)
+        emit("io", cost, f"checkpoint:{infix}{done}", "io",
+             ("checkpoint",) + tier_tags + extra_tags)
         buckets["checkpoint"] += cost
         counters["checkpoints"] += 1
         tier_writes[tier] += 1
@@ -488,9 +466,9 @@ def simulate_run(
         buckets["restart"] += config.restart_overhead_seconds
         t += config.restart_overhead_seconds
         if rec is not None:
-            cost = (seg.checkpoint_read_seconds if not tiered_mode
-                    else seg.tier_read_seconds[rec["tier"]])
-            emit("io", cost, restore_name(rec["tier"], restore_step),
+            cost = seg.tier_read_seconds[rec["tier"]]
+            emit("io", cost,
+                 f"restore:{tier_label(rec['tier'])[0]}step{restore_step}",
                  "io", ("restart", "restore"))
             buckets["restart"] += cost
             t += cost
@@ -538,57 +516,67 @@ def simulate_run(
         segment_log.append(dict(seg.to_dict(), from_seconds=t))
         return True
 
+    def arrive(during_outage: bool) -> FailureEvent:
+        """Take the pending failure and apply what every arrival does:
+        log it, count gray faults and hardware losses, attach gray faults
+        to the fleet, and drop the checkpoints a hardware loss destroys.
+        The caller handles the rest of its kind."""
+        nonlocal pending_events
+        ev = pending_events
+        pending_events = proc.next_failure()
+        failures.append({
+            "time_seconds": ev.time_seconds, "kind": ev.kind,
+            "failed_attempts": (ev.failed_attempts
+                                if ev.kind == "collective_retry" else 0),
+            "gray_kind": ev.gray_kind,
+            "during_outage": during_outage,
+        })
+        if ev.kind == "gray":
+            counters["gray_failures"] += 1
+            active_gray.append({
+                "kind": ev.gray_kind,
+                "rank": ev.rank_index(seg.plan.parallel.world_size),
+                "age": 0, "tolerated": False, "given_up": False,
+            })
+        elif ev.kind in CORRELATED_DOMAINS:
+            counters[ev.kind.replace("loss", "losses")] += 1
+            records[:] = [rec for rec in records
+                          if tier_survives(rec["tier"], ev.kind)]
+        return ev
+
     def coalesce_outage() -> None:
         """Failures arriving while the fleet was already down coalesce
         into this outage: nothing was training (no work to lose) and
         repairs proceed in parallel.  Hardware losses still shrink an
         elastic fleet; gray faults attach (the flaky component is still
         there when training resumes); everything else is a no-op."""
-        nonlocal pending_events, truncated_reason
         while (truncated_reason is None
                and pending_events.time_seconds < t):
-            ev = pending_events
-            pending_events = proc.next_failure()
-            failures.append({
-                "time_seconds": ev.time_seconds, "kind": ev.kind,
-                "failed_attempts": (ev.failed_attempts
-                                    if ev.kind == "collective_retry" else 0),
-                "gray_kind": ev.gray_kind,
-                "during_outage": True,
-            })
-            if ev.kind == "gray":
-                counters["gray_failures"] += 1
-                active_gray.append({
-                    "kind": ev.gray_kind,
-                    "rank": ev.rank_index(seg.plan.parallel.world_size),
-                    "age": 0, "tolerated": False, "given_up": False,
-                })
-                continue
-            if ev.kind not in ("node_loss", "rack_loss", "pod_loss"):
-                continue
-            counters[ev.kind.replace("loss", "losses")] += 1
-            for rec in list(records):
-                if not tier_survives(rec["tier"], ev.kind):
-                    records.remove(rec)
-            if not config.elastic:
-                continue
-            if not shrink_fleet(lost_gpus_for(ev.kind, ev.where_fraction)):
-                break
+            ev = arrive(during_outage=True)
+            if config.elastic and ev.kind in CORRELATED_DOMAINS:
+                shrink_fleet(lost_gpus_for(ev.kind, ev.where_fraction))
 
-    def gray_tax(gray: dict) -> float:
-        """Per-step tax of one gray fault on the current segment."""
+    def gray_fact(gray: dict, fact: str) -> float | bool:
+        """``"tax"`` (per-step seconds) or ``"localised"`` (bool) of one
+        gray fault on the current segment."""
         world = seg.plan.parallel.world_size
-        key = (capacity, gray["kind"], min(gray["rank"], world - 1))
-        if key not in gray_tax_cache:
-            plan = gray_fault_plan(
-                gray["kind"], key[2], taxonomy.gray_compute_scale,
-                taxonomy.gray_link_scale)
-            faulted = simulate_step(
-                model, seg.plan.parallel, seg.plan.job, cluster,
-                schedule_kind=seg.plan.schedule, fault_plan=plan)
-            gray_tax_cache[key] = max(
-                faulted.step_seconds - seg.step_seconds, 0.0)
-        return gray_tax_cache[key]
+        rank = min(gray["rank"], world - 1)
+        key = (capacity, gray["kind"], rank, fact)
+        if key not in gray_facts:
+            if fact == "tax":
+                faulted = simulate_step(
+                    model, seg.plan.parallel, seg.plan.job, cluster,
+                    schedule_kind=seg.plan.schedule,
+                    fault_plan=gray_fault_plan(
+                        gray["kind"], rank, taxonomy.gray_compute_scale,
+                        taxonomy.gray_link_scale))
+                gray_facts[key] = max(
+                    faulted.step_seconds - seg.step_seconds, 0.0)
+            else:
+                gray_facts[key] = localise_gray_fault(
+                    seg.plan.parallel, gray["kind"], rank,
+                    taxonomy.gray_compute_scale, taxonomy.gray_link_scale)
+        return gray_facts[key]
 
     def handle_corruption() -> None:
         """A validation point caught silent corruption: identify and
@@ -633,12 +621,9 @@ def simulate_run(
         """Cost out evict-vs-tolerate for a detected gray fault and act.
         True = eviction happened (an outage the caller must absorb)."""
         nonlocal t
-        tax = gray_tax(gray)
+        tax = gray_fact(gray, "tax")
         remaining = config.steps - done
-        world = seg.plan.parallel.world_size
-        localised = localise_gray_fault(
-            seg.plan.parallel, gray["kind"], min(gray["rank"], world - 1),
-            taxonomy.gray_compute_scale, taxonomy.gray_link_scale)
+        localised = gray_fact(gray, "localised")
         # Drain to the fastest tier that actually checkpoints; with no
         # checkpointing at all, eviction loses everything since the
         # newest surviving record (priced into the projection).
@@ -651,9 +636,7 @@ def simulate_run(
         extra_per_step = 0.0
         evictable = True
         if drain_tier is not None:
-            write = (seg.checkpoint_write_seconds if not tiered_mode
-                     else seg.tier_write_seconds[drain_tier])
-            fixed += write
+            fixed += seg.tier_write_seconds[drain_tier]
         else:
             fixed += (done - floor) * seg.step_seconds
         if config.elastic:
@@ -671,8 +654,7 @@ def simulate_run(
         read_tier = drain_tier if drain_tier is not None else (
             rec["tier"] if rec is not None else None)
         if read_tier is not None:
-            fixed += (new_seg.checkpoint_read_seconds if not tiered_mode
-                      else new_seg.tier_read_seconds[read_tier])
+            fixed += new_seg.tier_read_seconds[read_tier]
         decision, tolerate_cost, evict_cost = choose_mitigation(
             tax, remaining, fixed, extra_per_step)
         if not evictable:
@@ -732,7 +714,7 @@ def simulate_run(
         # Gray faults attach to steps *after* their arrival: tax what is
         # active as this step starts.
         taxed = [g for g in active_gray]
-        gray_extra = sum(gray_tax(g) for g in taxed)
+        gray_extra = sum(gray_fact(g, "tax") for g in taxed)
         ladders: List[int] = []
         abort = None  # (reason, FailureEvent)
 
@@ -745,15 +727,7 @@ def simulate_run(
         # Absorb every failure landing before this step would complete;
         # transient ones stretch the step (which can pull in more).
         while abort is None and pending_events.time_seconds < completion_time():
-            ev = pending_events
-            pending_events = proc.next_failure()
-            failures.append({
-                "time_seconds": ev.time_seconds, "kind": ev.kind,
-                "failed_attempts": (ev.failed_attempts
-                                    if ev.kind == "collective_retry" else 0),
-                "gray_kind": ev.gray_kind,
-                "during_outage": False,
-            })
+            ev = arrive(during_outage=False)
             if ev.kind == "transient_straggler":
                 counters["transient_stragglers"] += 1
                 transient_extra += seg.straggler_extra_seconds
@@ -765,19 +739,11 @@ def simulate_run(
                     counters["retry_ladders"] += 1
                     counters["retry_attempts"] += ev.failed_attempts
                     ladders.append(ev.failed_attempts)
-            elif ev.kind == "gray":
-                counters["gray_failures"] += 1
-                active_gray.append({
-                    "kind": ev.gray_kind,
-                    "rank": ev.rank_index(seg.plan.parallel.world_size),
-                    "age": 0, "tolerated": False, "given_up": False,
-                })
             elif ev.kind == "silent_corruption":
                 counters["silent_corruptions"] += 1
                 if corruption_onset is None:
                     corruption_onset = ev.time_seconds
-            else:
-                counters[ev.kind.replace("loss", "losses")] += 1
+            elif ev.kind in CORRELATED_DOMAINS:
                 abort = (ev.kind, ev)
 
         if abort is None:
@@ -847,9 +813,6 @@ def simulate_run(
             t += lost_partial
         buckets["rework"] += lost_partial
         domain = reason if reason != "retry_exhausted" else "none"
-        for rec in list(records):
-            if not tier_survives(rec["tier"], domain):
-                records.remove(rec)
         emit("io", 0.0, f"failure:{reason}", "marker", ("failure", reason))
 
         if domain != "none":

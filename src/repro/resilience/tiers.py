@@ -43,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
+from repro.errors import ConfigError
 from repro.hardware.cluster import ClusterSpec
 from repro.model.config import TextModelConfig
 from repro.resilience.policy import (
@@ -92,16 +93,19 @@ def tier_write_seconds(
 ) -> float:
     """Seconds to write one checkpoint to ``tier`` from ``ngpu`` GPUs.
 
-    Same sharded-parallel-write shape as the remote pricing in
-    :mod:`repro.resilience.policy`, against the tier's bandwidth.
+    The state is sharded across the fleet (every rank owns a disjoint
+    optimizer shard under ZeRO), so all nodes write their share in
+    parallel and the wall time is the per-node share over the tier's
+    per-node bandwidth.  ``payload_bytes`` overrides the model-derived
+    payload (used by tests and by incremental-checkpoint what-ifs).
     """
-    if payload_bytes is None:
-        payload_bytes = checkpoint_bytes(model)
-    nodes = max(ngpu // cluster.gpus_per_node, 1) if ngpu >= 1 else 0
     if ngpu < 1:
         raise ValueError("ngpu must be >= 1")
+    if payload_bytes is None:
+        payload_bytes = checkpoint_bytes(model)
     return shard_transfer_seconds(
-        payload_bytes, nodes, tier_bandwidth_per_node(tier, cluster),
+        payload_bytes, max(ngpu // cluster.gpus_per_node, 1),
+        tier_bandwidth_per_node(tier, cluster),
         what=f"{tier}-tier checkpoint bandwidth")
 
 
@@ -109,8 +113,13 @@ def tier_read_seconds(
     tier: str, model: TextModelConfig, cluster: ClusterSpec, ngpu: int,
     payload_bytes: Optional[float] = None,
 ) -> float:
-    """Seconds to restore one checkpoint from ``tier`` onto ``ngpu`` GPUs
-    (symmetric to the write: every node pulls its shard in parallel)."""
+    """Seconds to restore one checkpoint from ``tier`` onto ``ngpu`` GPUs.
+
+    Symmetric to the write: every node pulls its shard in parallel.  A
+    shrunken fleet reads the same global payload over fewer nodes, so
+    restores get slower as capacity is lost — which the elastic-replan
+    path in :mod:`repro.resilience.run` prices per segment.
+    """
     return tier_write_seconds(tier, model, cluster, ngpu,
                               payload_bytes=payload_bytes)
 
@@ -164,14 +173,14 @@ class TieredCheckpoint:
         seen = set()
         for name, _policy in self.tiers:
             if name not in TIER_NAMES:
-                raise ValueError(
+                raise ConfigError(
                     f"unknown checkpoint tier {name!r}; "
                     f"choose from {TIER_NAMES}")
             if name in seen:
-                raise ValueError(f"duplicate checkpoint tier {name!r}")
+                raise ConfigError(f"duplicate checkpoint tier {name!r}")
             seen.add(name)
         if not any(not isinstance(p, NoCheckpoint) for _n, p in self.tiers):
-            raise ValueError(
+            raise ConfigError(
                 "tiered policy must checkpoint on at least one tier")
 
     def policy_for(self, tier: str) -> CheckpointPolicy:
@@ -179,26 +188,6 @@ class TieredCheckpoint:
             if name == tier:
                 return policy
         return NoCheckpoint()
-
-    def tier_intervals(
-        self, step_seconds: float, write_seconds: Dict[str, float],
-        mtbf_seconds: float,
-    ) -> Dict[str, Optional[int]]:
-        """Per-tier interval in steps, each from its own write cost."""
-        out: Dict[str, Optional[int]] = {}
-        for name, policy in self.tiers:
-            out[name] = policy.interval_steps(
-                step_seconds, write_seconds[name], mtbf_seconds)
-        return out
-
-    def interval_steps(
-        self, step_seconds: float, checkpoint_seconds: float,
-        mtbf_seconds: float,
-    ) -> Optional[int]:
-        """Protocol compatibility: the durable (remote) tier's interval,
-        priced like a single-tier policy would price it."""
-        return self.policy_for("remote").interval_steps(
-            step_seconds, checkpoint_seconds, mtbf_seconds)
 
     def describe(self) -> str:
         parts = ", ".join(
@@ -211,6 +200,21 @@ class TieredCheckpoint:
             "tiers": {name: policy.to_dict()
                       for name, policy in self.tiers},
         }
+
+
+def tier_intervals(
+    policy: CheckpointPolicy | TieredCheckpoint, step_seconds: float, write_seconds: Dict[str, float],
+    mtbf_seconds: float,
+) -> Dict[str, Optional[int]]:
+    """Per-tier interval in steps, each from its own write cost.
+
+    Takes any policy: a single-tier one is the ``remote`` tier alone.
+    """
+    tiers = (policy.tiers if isinstance(policy, TieredCheckpoint)
+             else (("remote", policy),))
+    return {name: tier_policy.interval_steps(
+                step_seconds, write_seconds[name], mtbf_seconds)
+            for name, tier_policy in tiers}
 
 
 #: Default tiered composition: Young-Daly at every tier, each priced
@@ -231,7 +235,7 @@ def parse_tiered_policy(spec: str) -> TieredCheckpoint:
     if body == "auto":
         return TieredCheckpoint(tiers=AUTO_TIERED)
     if not body:
-        raise ValueError(
+        raise ConfigError(
             f"empty tiered policy {spec!r}; expected tiered:auto or "
             "tiered:<tier>=<interval>[,...] with tier in "
             f"{TIER_NAMES} and interval one of young-daly | none | <steps>")
@@ -240,7 +244,7 @@ def parse_tiered_policy(spec: str) -> TieredCheckpoint:
         name, eq, value = part.partition("=")
         name, value = name.strip(), value.strip()
         if not eq or name not in TIER_NAMES:
-            raise ValueError(
+            raise ConfigError(
                 f"bad tiered policy field {part!r}; expected "
                 f"<tier>=<interval> with tier in {TIER_NAMES}")
         if value in ("young-daly", "young_daly"):
@@ -251,7 +255,7 @@ def parse_tiered_policy(spec: str) -> TieredCheckpoint:
             try:
                 policy = FixedInterval(every_steps=int(value))
             except ValueError:
-                raise ValueError(
+                raise ConfigError(
                     f"bad tiered interval {part!r}; expected "
                     "young-daly | none | <steps>") from None
         tiers.append((name, policy))
@@ -267,6 +271,7 @@ __all__ = [
     "parse_tiered_policy",
     "survivability_matrix",
     "tier_bandwidth_per_node",
+    "tier_intervals",
     "tier_read_seconds",
     "tier_survives",
     "tier_write_seconds",

@@ -11,17 +11,23 @@ from repro.model.memory import training_state_bytes
 from repro.resilience import (
     FAILURE_KINDS,
     FailureProcess,
+    FailureTaxonomy,
     FixedInterval,
     NoCheckpoint,
     YoungDaly,
     checkpoint_bytes,
-    checkpoint_read_seconds,
-    checkpoint_write_seconds,
     parse_policy,
     shard_transfer_seconds,
+    tier_read_seconds,
+    tier_write_seconds,
 )
 
 CLUSTER = grand_teton(32)
+
+
+def _remote_write(cluster, ngpu, **kw):
+    """A single-tier policy's checkpoint price: the remote tier's."""
+    return tier_write_seconds("remote", LLAMA3_8B, cluster, ngpu, **kw)
 
 
 class TestCheckpointPricing:
@@ -34,24 +40,22 @@ class TestCheckpointPricing:
 
     def test_write_shards_across_nodes(self):
         # Twice the nodes write the same payload twice as fast.
-        assert checkpoint_write_seconds(LLAMA3_8B, CLUSTER, 16) \
-            == pytest.approx(
-                2 * checkpoint_write_seconds(LLAMA3_8B, CLUSTER, 32))
+        assert _remote_write(CLUSTER, 16) == pytest.approx(
+            2 * _remote_write(CLUSTER, 32))
 
     def test_write_bounded_by_per_node_bandwidth(self):
         nodes = 32 // CLUSTER.gpus_per_node
         expected = (checkpoint_bytes(LLAMA3_8B) / nodes
                     / CLUSTER.checkpoint_bandwidth_per_node())
-        assert checkpoint_write_seconds(LLAMA3_8B, CLUSTER, 32) \
-            == pytest.approx(expected)
+        assert _remote_write(CLUSTER, 32) == pytest.approx(expected)
 
     def test_read_symmetric_to_write(self):
-        assert checkpoint_read_seconds(LLAMA3_8B, CLUSTER, 32) \
-            == checkpoint_write_seconds(LLAMA3_8B, CLUSTER, 32)
+        assert tier_read_seconds("remote", LLAMA3_8B, CLUSTER, 32) \
+            == _remote_write(CLUSTER, 32)
 
     def test_invalid_ngpu_rejected(self):
         with pytest.raises(ValueError):
-            checkpoint_write_seconds(LLAMA3_8B, CLUSTER, 0)
+            _remote_write(CLUSTER, 0)
 
 
 class TestShardTransferDegenerates:
@@ -61,10 +65,9 @@ class TestShardTransferDegenerates:
 
     def test_zero_bytes_is_free(self):
         assert shard_transfer_seconds(0.0, 4, 1e9) == 0.0
-        assert checkpoint_write_seconds(LLAMA3_8B, CLUSTER, 32,
-                                        payload_bytes=0.0) == 0.0
-        assert checkpoint_read_seconds(LLAMA3_8B, CLUSTER, 32,
-                                       payload_bytes=0.0) == 0.0
+        assert _remote_write(CLUSTER, 32, payload_bytes=0.0) == 0.0
+        assert tier_read_seconds("remote", LLAMA3_8B, CLUSTER, 32,
+                                 payload_bytes=0.0) == 0.0
 
     def test_zero_bytes_never_touches_the_bandwidth(self):
         # Even a broken (zero) bandwidth is fine when nothing moves.
@@ -86,7 +89,7 @@ class TestShardTransferDegenerates:
                 return 0.0
 
         with pytest.raises(ValueError) as err:
-            checkpoint_write_seconds(LLAMA3_8B, BrokenCluster(), 32)
+            _remote_write(BrokenCluster(), 32)
         assert "checkpoint bandwidth" in str(err.value)
 
     def test_negative_inputs_rejected(self):
@@ -141,7 +144,8 @@ class TestPolicies:
 
 class TestFailureProcess:
     def _draw(self, seed, n=10, **kw):
-        proc = FailureProcess(mtbf_seconds=100.0, seed=seed, **kw)
+        proc = FailureProcess(mtbf_seconds=100.0, seed=seed,
+                              taxonomy=FailureTaxonomy(**kw))
         return [proc.next_failure() for _ in range(n)]
 
     def test_same_seed_same_sequence(self):
@@ -184,9 +188,9 @@ class TestFailureProcess:
         with pytest.raises(ValueError):
             FailureProcess(0.0)
         with pytest.raises(ValueError):
-            FailureProcess(100.0, node_loss_fraction=1.5)
+            FailureTaxonomy(node_loss_fraction=1.5)
         with pytest.raises(ValueError):
             # Fractions must fit in the unit interval together.
-            FailureProcess(100.0, node_loss_fraction=0.8, retry_fraction=0.5)
+            FailureTaxonomy(node_loss_fraction=0.8, retry_fraction=0.5)
         with pytest.raises(ValueError):
-            FailureProcess(100.0, retry_success_p=0.0)
+            FailureTaxonomy(retry_success_p=0.0)

@@ -27,6 +27,8 @@ from repro.obs.report import render_json, resilience_report
 from repro.parallel.config import JobConfig
 from repro.resilience import (
     BUCKETS,
+    TAXONOMY_PRESETS,
+    FailureTaxonomy,
     FixedInterval,
     NoCheckpoint,
     RunConfig,
@@ -46,8 +48,9 @@ CLUSTER = grand_teton(32)
 def _config(policy, **overrides):
     """The pinned comparison scenario; see the module docstring."""
     base = dict(steps=200, mtbf_seconds=150.0, seed=11, elastic=False,
-                replacement_seconds=300.0, node_loss_fraction=0.35,
-                retry_fraction=0.45)
+                replacement_seconds=300.0,
+                taxonomy=FailureTaxonomy(node_loss_fraction=0.35,
+                                         retry_fraction=0.45))
     base.update(overrides)
     return RunConfig(policy=policy, **base)
 
@@ -132,11 +135,15 @@ class TestAccountingInvariants:
         assert by_bucket["elapsed"] == pytest.approx(r.elapsed_seconds)
 
 
+#: Every arrival is a node loss.
+NODE_LOSS_ONLY = FailureTaxonomy(node_loss_fraction=1.0, retry_fraction=0.0)
+
+
 class TestElasticReplanning:
     def test_node_loss_replans_and_continues_degraded(self):
         cfg = RunConfig(steps=60, mtbf_seconds=200.0,
                         policy=FixedInterval(10), seed=2, elastic=True,
-                        node_loss_fraction=1.0, retry_fraction=0.0)
+                        taxonomy=NODE_LOSS_ONLY)
         r = simulate_run(MODEL, JOB, CLUSTER, cfg)
         assert r.completed
         assert r.counters["node_losses"] >= 1
@@ -156,8 +163,7 @@ class TestElasticReplanning:
 
     def test_fleet_exhaustion_truncates_with_a_reason(self):
         cfg = RunConfig(steps=50, mtbf_seconds=5.0, policy=YoungDaly(),
-                        seed=0, elastic=True, node_loss_fraction=1.0,
-                        retry_fraction=0.0)
+                        seed=0, elastic=True, taxonomy=NODE_LOSS_ONLY)
         r = simulate_run(MODEL, JOB, CLUSTER, cfg)
         assert not r.completed
         assert "no feasible plan" in r.truncated_reason
@@ -169,7 +175,7 @@ class TestElasticReplanning:
         cfg = RunConfig(steps=60, mtbf_seconds=200.0,
                         policy=FixedInterval(10), seed=2, elastic=False,
                         replacement_seconds=300.0,
-                        node_loss_fraction=1.0, retry_fraction=0.0)
+                        taxonomy=NODE_LOSS_ONLY)
         r = simulate_run(MODEL, JOB, CLUSTER, cfg)
         assert r.completed
         assert r.counters["replans"] == 0
@@ -216,6 +222,20 @@ class TestGoldenResilienceReport:
 
     def test_report_is_deterministic(self):
         assert _golden_payload() == _golden_payload()
+
+
+class TestReportConfig:
+    def test_top_level_keys_mirror_the_taxonomy(self):
+        # A non-iid preset: the v1 top-level keys must not fall back to
+        # the iid defaults (0.4 / 0.3) while ``taxonomy`` says otherwise.
+        tax = TAXONOMY_PRESETS["production"]
+        r = simulate_run(MODEL, JOB, CLUSTER, RunConfig(
+            steps=5, mtbf_seconds=150.0, seed=11, taxonomy=tax))
+        cfg = resilience_report(r)["config"]
+        for key in ("node_loss_fraction", "retry_fraction",
+                    "retry_success_p"):
+            assert cfg[key] == cfg["taxonomy"][key] == getattr(tax, key)
+        assert cfg["node_loss_fraction"] != 0.4
 
 
 def _subset_equal(old, new, path=""):

@@ -39,6 +39,7 @@ from repro.resilience import (
     tier_survives,
     tier_write_seconds,
 )
+from repro.resilience.tiers import tier_intervals
 
 GOLDEN = Path(__file__).parent / "golden" / "resilience_survivability.json"
 
@@ -130,11 +131,14 @@ class TestTieredPolicy:
         policy = parse_policy("tiered:auto")
         writes = {t: tier_write_seconds(t, MODEL, CLUSTER, 32)
                   for t in ("peer", "local", "remote")}
-        intervals = policy.tier_intervals(1.0, writes, 150.0)
+        intervals = tier_intervals(policy, 1.0, writes, 150.0)
         # Cheaper tiers checkpoint at least as often as pricier ones.
         assert intervals["peer"] <= intervals["local"] \
             <= intervals["remote"]
         assert all(v >= 1 for v in intervals.values())
+        # A single-tier policy is the remote tier alone.
+        assert tier_intervals(YoungDaly(), 1.0, writes, 150.0) \
+            == {"remote": intervals["remote"]}
 
 
 def _tiered_run(taxonomy, *, policy="tiered:auto", seed=3, steps=120,
