@@ -76,6 +76,22 @@ def run_synthetic_workload(
         faults.install(sim, mesh)
     p = mesh.parallel
     world = mesh.world_size
+    # The groups are fixed for the whole run, so build them once.  The
+    # DP x CP groups stay a set iterated as such: its order is the
+    # collectives' submission order, which the trace depends on.
+    cp_groups = mesh.all_groups("cp") if p.cp > 1 else []
+    tp_groups = mesh.all_groups("tp") if p.tp > 1 else []
+    ep_groups = mesh.all_groups("ep") if p.ep > 1 else []
+    # Stage hand-off pairs: each rank syncs with its next-stage peer.
+    # The pipeline is a chain, not a ring — the last stage has no
+    # next-stage peer, so no wrap link back to stage 0 (such a
+    # nonexistent edge would let the pp-level blame pass couple the chain
+    # ends and misdirect the Section 6.1 search).
+    pp_pairs = [
+        [rank, mesh.pp_neighbor(rank, +1)] for rank in range(world)
+        if mesh.coord_of(rank).pp != p.pp - 1
+    ] if p.pp > 1 else []
+    dp_groups = {tuple(mesh.dp_cp_group_of(r)) for r in range(world)}
 
     for step in range(spec.steps):
         for layer in range(spec.layers):
@@ -92,48 +108,33 @@ def run_synthetic_workload(
             # is what creates Figure 8's decoy: a rank waiting on its CP
             # peer joins the following TP collective late and *looks* like
             # the TP-group bottleneck.
-            if p.cp > 1:
-                for group in mesh.all_groups("cp"):
-                    sim.run_collective(
-                        group, stream="compute",
-                        duration=spec.cp_comm_seconds,
-                        name=f"cp:kv-ag:s{step}:l{layer}",
-                    )
-            if p.tp > 1:
-                for group in mesh.all_groups("tp"):
-                    sim.run_collective(
-                        group, stream="compute",
-                        duration=spec.tp_comm_seconds,
-                        name=f"tp:ag:s{step}:l{layer}",
-                    )
+            for group in cp_groups:
+                sim.run_collective(
+                    group, stream="compute",
+                    duration=spec.cp_comm_seconds,
+                    name=f"cp:kv-ag:s{step}:l{layer}",
+                )
+            for group in tp_groups:
+                sim.run_collective(
+                    group, stream="compute",
+                    duration=spec.tp_comm_seconds,
+                    name=f"tp:ag:s{step}:l{layer}",
+                )
             # The expert FFN sits after attention, so the EP token
             # all-to-all (dispatch + combine folded into one event)
             # closes the layer.
-            if p.ep > 1:
-                for group in mesh.all_groups("ep"):
-                    sim.run_collective(
-                        group, stream="compute",
-                        duration=spec.ep_comm_seconds,
-                        name=f"ep:a2a:s{step}:l{layer}",
-                    )
-        if p.pp > 1:
-            # Stage hand-off: each rank syncs with its next-stage peer.
-            # The pipeline is a chain, not a ring — the last stage has no
-            # next-stage peer, so no wrap link back to stage 0 (such a
-            # nonexistent edge would let the pp-level blame pass couple
-            # the chain ends and misdirect the Section 6.1 search).
-            for rank in range(world):
-                if mesh.coord_of(rank).pp == p.pp - 1:
-                    continue
-                peer = mesh.pp_neighbor(rank, +1)
+            for group in ep_groups:
                 sim.run_collective(
-                    [rank, peer], stream="compute",
-                    duration=spec.pp_comm_seconds,
-                    name=f"pp:p2p:s{step}",
+                    group, stream="compute",
+                    duration=spec.ep_comm_seconds,
+                    name=f"ep:a2a:s{step}:l{layer}",
                 )
-        dp_groups = {
-            tuple(mesh.dp_cp_group_of(r)) for r in range(world)
-        }
+        for pair in pp_pairs:
+            sim.run_collective(
+                pair, stream="compute",
+                duration=spec.pp_comm_seconds,
+                name=f"pp:p2p:s{step}",
+            )
         for group in dp_groups:
             if len(group) > 1:
                 sim.run_collective(

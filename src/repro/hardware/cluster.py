@@ -133,11 +133,13 @@ class ClusterSpec:
         Ring-style collectives run at the speed of the slowest hop, so a
         group that spans nodes is charged the inter-node link even when
         some of its members share a host.
+
+        Node index is monotone in rank, so the group sits on one node iff
+        its smallest and largest ranks do; only those two are checked.
         """
         if len(ranks) < 1:
             raise ValueError("group must contain at least one rank")
-        nodes = {self.node_of(r) for r in ranks}
-        if len(nodes) == 1:
+        if self.node_of(min(ranks)) == self.node_of(max(ranks)):
             return self.intra_node_link
         return self.inter_node_link
 

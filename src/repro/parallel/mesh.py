@@ -65,10 +65,24 @@ class DeviceMesh:
         p = self.parallel
         return {"tp": p.tp, "cp": p.cp, "ep": p.ep, "pp": p.pp, "dp": p.dp}
 
-    def coord_of(self, rank: int) -> MeshCoord:
-        """Coordinates of a global rank."""
+    def _check_rank(self, rank: int) -> None:
         if not 0 <= rank < self.world_size:
             raise ValueError(f"rank {rank} out of range [0, {self.world_size})")
+
+    def _stride(self, dim: str) -> int:
+        """Global-rank distance between neighbours along ``dim``: the
+        product of the sizes of every dim inside it."""
+        sizes = self._sizes()
+        if dim not in sizes:
+            raise ValueError(f"unknown dim {dim!r}; expected one of {DIM_ORDER}")
+        stride = 1
+        for inner in DIM_ORDER[:DIM_ORDER.index(dim)]:
+            stride *= sizes[inner]
+        return stride
+
+    def coord_of(self, rank: int) -> MeshCoord:
+        """Coordinates of a global rank."""
+        self._check_rank(rank)
         p = self.parallel
         tp_idx = rank % p.tp
         cp_idx = (rank // p.tp) % p.cp
@@ -97,41 +111,48 @@ class DeviceMesh:
         from ``r`` only in their TP coordinate, in TP-index order.
         ``group_of(r, "ep")`` is the expert-parallel group the MoE
         all-to-all runs over.
+
+        Groups are strided: the members sit ``_stride(dim)`` ranks apart,
+        starting from the one whose ``dim`` index is 0, so the list is
+        built arithmetically in O(group size).
         """
-        coord = self.coord_of(rank)
-        size = self._sizes().get(dim)
-        if size is None:
-            raise ValueError(f"unknown dim {dim!r}; expected one of {DIM_ORDER}")
-        return [
-            self.rank_of(coord.replace_dim(dim, i)) for i in range(size)
-        ]
+        self._check_rank(rank)
+        stride = self._stride(dim)
+        size = self._sizes()[dim]
+        base = rank - (rank // stride) % size * stride
+        return list(range(base, base + size * stride, stride))
 
     def all_groups(self, dim: str) -> List[List[int]]:
-        """Every ``dim`` process group, each as an ordered rank list."""
-        seen = set()
-        groups = []
-        for rank in range(self.world_size):
-            group = tuple(self.group_of(rank, dim))
-            if group not in seen:
-                seen.add(group)
-                groups.append(list(group))
-        return groups
+        """Every ``dim`` process group, each as an ordered rank list.
+
+        Groups come in ascending order of their first member (the order
+        a scan over ranks first meets them): within each block of
+        ``stride * size`` ranks, one group per offset below the stride.
+        """
+        stride = self._stride(dim)
+        span = stride * self._sizes()[dim]
+        return [
+            list(range(base, base + span, stride))
+            for block in range(0, self.world_size, span)
+            for base in range(block, block + stride)
+        ]
 
     def dp_cp_group_of(self, rank: int) -> List[int]:
         """The combined DP x CP group used for parameter all-gather and
         gradient reduce-scatter (Section 4: CP extends DP for parameter
         communication).  The (tp, ep, pp) coordinates stay fixed: each EP
         rank owns disjoint experts, so its gradient shard group spans
-        only the DP x CP replicas of the same expert shard."""
-        coord = self.coord_of(rank)
+        only the DP x CP replicas of the same expert shard.  Ordered DP
+        index first, then CP index."""
+        self._check_rank(rank)
         p = self.parallel
-        ranks = []
-        for dp_idx in range(p.dp):
-            for cp_idx in range(p.cp):
-                c = MeshCoord(tp=coord.tp, cp=cp_idx, ep=coord.ep,
-                              pp=coord.pp, dp=dp_idx)
-                ranks.append(self.rank_of(c))
-        return ranks
+        dp_stride = self._stride("dp")
+        base = rank % dp_stride - (rank // p.tp) % p.cp * p.tp
+        return [
+            dp_base + cp_offset
+            for dp_base in range(base, self.world_size, dp_stride)
+            for cp_offset in range(0, p.cp * p.tp, p.tp)
+        ]
 
     def pp_stage_ranks(self, pp_idx: int) -> List[int]:
         """All global ranks at one pipeline stage.

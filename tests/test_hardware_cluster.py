@@ -29,6 +29,16 @@ class TestClusterSpec:
         assert c.group_link([0, 1, 2]) is NVLINK_H100
         assert c.group_link([0, 1, 9]) is ROCE_400G
         assert c.group_link([5]) is NVLINK_H100
+        # Unsorted groups: only the smallest and largest rank decide.
+        assert c.group_link([7, 0, 3]) is NVLINK_H100
+        assert c.group_link([9, 0, 3]) is ROCE_400G
+        assert c.group_link([15, 8, 12]) is NVLINK_H100
+
+    def test_group_link_rank_bounds_checked(self):
+        c = grand_teton(16)
+        for group in ([0, 16], [16], [-1, 3], [3, -1, 7]):
+            with pytest.raises(ValueError):
+                c.group_link(group)
 
     def test_rank_bounds_checked(self):
         c = grand_teton(16)

@@ -1,10 +1,12 @@
 """Tests for 4D config and device mesh."""
 
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.parallel.config import JobConfig, ParallelConfig
-from repro.parallel.mesh import DeviceMesh, MeshCoord
+from repro.parallel.mesh import DIM_ORDER, DeviceMesh, MeshCoord
 
 
 class TestParallelConfig:
@@ -185,3 +187,63 @@ class TestPPStageRanks:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             self.MESHES[2].pp_stage_ranks(2)
+
+
+class TestMeshGroupArithmetic:
+    """``group_of``, ``all_groups`` and ``dp_cp_group_of`` are built
+    arithmetically from strides; pin them, order included, against the
+    coordinate definition on every mesh with each dim in {1, 2, 3}."""
+
+    SIZES = list(itertools.product((1, 2, 3), repeat=5))
+
+    @staticmethod
+    def _group(mesh, rank, dim):
+        coord = mesh.coord_of(rank)
+        size = getattr(mesh.parallel, dim)
+        return [mesh.rank_of(coord.replace_dim(dim, i)) for i in range(size)]
+
+    @classmethod
+    def _all_groups(cls, mesh, dim):
+        groups = []
+        for rank in range(mesh.world_size):
+            group = cls._group(mesh, rank, dim)
+            if group not in groups:
+                groups.append(group)
+        return groups
+
+    @staticmethod
+    def _dp_cp_group(mesh, rank):
+        coord = mesh.coord_of(rank)
+        return [
+            mesh.rank_of(coord.replace_dim("dp", d).replace_dim("cp", c))
+            for d in range(mesh.parallel.dp) for c in range(mesh.parallel.cp)
+        ]
+
+    @pytest.mark.parametrize("sizes", SIZES,
+                             ids=lambda s: "-".join(map(str, s)))
+    def test_matches_coordinate_definition(self, sizes):
+        tp, cp, ep, pp, dp = sizes
+        mesh = DeviceMesh(ParallelConfig(tp=tp, cp=cp, ep=ep, pp=pp, dp=dp))
+        for dim in DIM_ORDER:
+            assert mesh.all_groups(dim) == self._all_groups(mesh, dim)
+            for rank in range(mesh.world_size):
+                assert mesh.group_of(rank, dim) == self._group(mesh, rank, dim)
+        for rank in range(mesh.world_size):
+            assert mesh.dp_cp_group_of(rank) == self._dp_cp_group(mesh, rank)
+
+    def test_errors_keep_type_and_message(self):
+        mesh = DeviceMesh(ParallelConfig(tp=2, cp=3, ep=1, pp=2, dp=2))
+        unknown = ("unknown dim 'xx'; expected one of "
+                   "('tp', 'cp', 'ep', 'pp', 'dp')")
+        for call, message in (
+                (lambda: mesh.group_of(24, "tp"), "rank 24 out of range [0, 24)"),
+                (lambda: mesh.group_of(-1, "dp"), "rank -1 out of range [0, 24)"),
+                (lambda: mesh.group_of(24, "xx"), "rank 24 out of range [0, 24)"),
+                (lambda: mesh.group_of(0, "xx"), unknown),
+                (lambda: mesh.all_groups("xx"), unknown),
+                (lambda: mesh.dp_cp_group_of(24), "rank 24 out of range [0, 24)"),
+                (lambda: mesh.dp_cp_group_of(-3), "rank -3 out of range [0, 24)"),
+        ):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == message
