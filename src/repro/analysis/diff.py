@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.ordered_sum import ordered_sum
+
 #: Event kinds that carry attributable duration (see module docstring).
 ALIGN_KINDS = ("comm", "compute")
 
@@ -136,9 +138,11 @@ class TraceDiff:
             out.append(DiffBucket(
                 kind=kind,
                 stream=stream,
-                delta_seconds=sum(d.delta_seconds for d in members),
-                baseline_seconds=sum(d.baseline_seconds for d in members),
-                current_seconds=sum(d.current_seconds for d in members),
+                delta_seconds=ordered_sum(d.delta_seconds for d in members),
+                baseline_seconds=ordered_sum(
+                    d.baseline_seconds for d in members),
+                current_seconds=ordered_sum(
+                    d.current_seconds for d in members),
                 n_ops=len(members),
                 n_faulted=sum(1 for d in members if d.faulted),
                 by_rank=tuple(sorted(by_rank.items())),
@@ -152,7 +156,8 @@ class TraceDiff:
         """Buckets owning at least ``threshold`` of the total positive
         delta — the "responsible for >= X% of the regression" report."""
         buckets = self.buckets(top_ops=top_ops)
-        total = sum(b.delta_seconds for b in buckets if b.delta_seconds > 0)
+        total = ordered_sum(
+            b.delta_seconds for b in buckets if b.delta_seconds > 0)
         if total <= 0:
             return []
         return [b for b in buckets
@@ -160,7 +165,8 @@ class TraceDiff:
 
     def to_dict(self, top: int = 10, threshold: float = 0.05) -> dict:
         buckets = self.buckets(top_ops=3)
-        total = sum(b.delta_seconds for b in buckets if b.delta_seconds > 0)
+        total = ordered_sum(
+            b.delta_seconds for b in buckets if b.delta_seconds > 0)
         blamed = {(b.kind, b.stream) for b in self.blame(threshold=threshold)}
         regressions = sorted(
             (d for d in self.deltas if d.delta_seconds > 0),
@@ -218,13 +224,15 @@ def diff_traces(baseline_events: Iterable,
 
     def _unmatched(own, other):
         keys = own.keys() - other.keys()
-        return len(keys), sum(own[k].end - own[k].start for k in keys)
+        return len(keys), ordered_sum(
+            own[k].end - own[k].start for k in keys)
 
     ub_ops, ub_seconds = _unmatched(base_map, cur_map)
     uc_ops, uc_seconds = _unmatched(cur_map, base_map)
 
     def _wait_seconds(events):
-        return sum(e.end - e.start for e in events if e.kind == WAIT_KIND)
+        return ordered_sum(
+            e.end - e.start for e in events if e.kind == WAIT_KIND)
 
     return TraceDiff(
         baseline_makespan=max((e.end for e in baseline), default=0.0),

@@ -267,6 +267,8 @@ def cmd_ordering(args: argparse.Namespace) -> int:
 def cmd_imbalance(args: argparse.Namespace) -> int:
     from repro.cp.imbalance import simulate_fleet_imbalance
 
+    if args.seed < 0:
+        _fail(f"--seed must be >= 0 (got {args.seed})")
     cluster = grand_teton(args.ngpu)
     rep = simulate_fleet_imbalance(
         cluster, seq=args.seq, cp=args.cp, n_dp_groups=args.dp,
@@ -718,6 +720,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     if args.fuzz < 1:
         _fail(f"--fuzz must be >= 1 (got {args.fuzz})")
+    if args.seed < 0:
+        _fail(f"--seed must be >= 0 (got {args.seed})")
     modes = [flag for flag in ("faults", "engine", "resilience")
              if getattr(args, flag)]
     if len(modes) > 1:
@@ -885,6 +889,8 @@ def _export_fault_fuzz_trace(result, path: str) -> None:
 def cmd_schedules(args: argparse.Namespace) -> int:
     """List every registered pipeline schedule with its registry
     metadata — the single source of the ``--schedule`` choices."""
+    if args.names and args.json:
+        _fail("--names and --json are mutually exclusive")
     entries = schedule_entries()
     if args.names:
         for e in entries:

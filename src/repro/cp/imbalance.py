@@ -31,6 +31,7 @@ from repro.cp.perf import (
 )
 from repro.cp.sharding import rank_row_indices
 from repro.data.documents import DocumentBatch, sample_document_lengths
+from repro.errors import ConfigError
 from repro.hardware.cluster import ClusterSpec
 from repro.sim.collectives import all_gather_time
 
@@ -114,6 +115,10 @@ def simulate_fleet_imbalance(
     """
     if not 0.0 < attention_share < 1.0:
         raise ValueError("attention_share must be in (0, 1)")
+    if n_dp_groups < 1 or steps < 1:
+        raise ConfigError(
+            f"need n_dp_groups >= 1 and steps >= 1 (got {n_dp_groups}, "
+            f"{steps})")
     if rng is None:
         rng = np.random.default_rng(7)
 

@@ -16,6 +16,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro.errors import ConfigError
+
 
 @dataclass(frozen=True)
 class DocumentBatch:
@@ -72,13 +74,13 @@ def sample_document_lengths(
     at ``min_doc_len`` and the final document absorbs the remainder.
     """
     if seq <= 0:
-        raise ValueError("seq must be positive")
+        raise ConfigError("seq must be positive")
     if mean_doc_len <= min_doc_len:
-        raise ValueError("mean_doc_len must exceed min_doc_len")
+        raise ConfigError("mean_doc_len must exceed min_doc_len")
     if not 0.0 <= p_full_sequence <= 1.0:
-        raise ValueError("p_full_sequence must be a probability")
+        raise ConfigError("p_full_sequence must be a probability")
     if sigma < 0.0:
-        raise ValueError("sigma must be non-negative")
+        raise ConfigError("sigma must be non-negative")
     if p_full_sequence and rng.random() < p_full_sequence:
         return [seq]
     lengths: List[int] = []

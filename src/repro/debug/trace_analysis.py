@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry
+from repro.ordered_sum import ordered_sum
 from repro.parallel.mesh import DeviceMesh
 from repro.sim.engine import Simulator, TraceEvent
 
@@ -163,7 +164,7 @@ def identify_slow_rank(
             ).set(decision.blame_seconds, dim=dim)
 
     def compute_time(rank: int) -> float:
-        return sum(
+        return ordered_sum(
             e.duration for e in sim.events_for(rank, kind="compute")
         )
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
+from repro.errors import ConfigError
 from repro.parallel.mesh import DeviceMesh
 from repro.sim.engine import Simulator
 
@@ -53,6 +54,12 @@ class WorkloadSpec:
     ep_comm_seconds: float = 0.12
     pp_comm_seconds: float = 0.05
     dp_comm_seconds: float = 0.3
+
+    def __post_init__(self) -> None:
+        if self.steps < 1 or self.layers < 1:
+            raise ConfigError(
+                f"workload needs steps >= 1 and layers >= 1 (got steps="
+                f"{self.steps}, layers={self.layers})")
 
 
 def run_synthetic_workload(

@@ -22,6 +22,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.ordered_sum import ordered_sum
 from repro.parallel.config import ParallelConfig
 from repro.parallel.mesh import DIM_ORDER, DeviceMesh, MeshCoord
 from repro.sim.engine import Simulator
@@ -161,10 +162,10 @@ class Histogram(_Metric):
 
 
 _REDUCERS: Dict[str, Callable[[List[float]], float]] = {
-    "sum": sum,
+    "sum": ordered_sum,
     "max": max,
     "min": min,
-    "mean": lambda xs: sum(xs) / len(xs),
+    "mean": lambda xs: ordered_sum(xs) / len(xs),
 }
 
 
@@ -324,13 +325,13 @@ def record_simulator_metrics(
     ranks = sorted({e.rank for e in sim.events})
     for rank in ranks:
         label = rank_map.get(rank, rank)
-        busy_s = sum(
+        busy_s = ordered_sum(
             e.duration
             for e in sim.events_for(rank, stream="compute", kind="compute"))
         occupied_s = sim.busy_time(rank, "compute")  # any kind on the stream
-        comm_s = sum(
+        comm_s = ordered_sum(
             e.duration for e in sim.events_for(rank, kind="comm"))
-        exposed_s = sum(
+        exposed_s = ordered_sum(
             e.duration for e in sim.events_for(rank, kind="exposed_comm"))
         busy.set(busy_s, rank=label)
         idle.set(makespan - occupied_s, rank=label)
@@ -454,7 +455,7 @@ def record_comm_overlap_metrics(
             start, end = event.start, event.end
             window = compute[bisect_right(ends, start):
                              bisect_left(starts, end)]
-            hidden = sum(
+            hidden = ordered_sum(
                 max(0.0, min(end, ce) - max(start, cs))
                 for cs, ce in window
             )

@@ -127,13 +127,13 @@ class JobConfig:
         division is ``dp * ep``, not ``dp`` alone.
         """
         if parallel.world_size != self.ngpu:
-            raise ValueError(
+            raise ConfigError(
                 f"parallel config covers {parallel.world_size} GPUs, "
                 f"job uses {self.ngpu}"
             )
         replicas = parallel.dp * parallel.ep
         if self.gbs % replicas != 0:
-            raise ValueError(
+            raise ConfigError(
                 f"gbs={self.gbs} not divisible by dp*ep={replicas}"
             )
         return self.gbs // replicas

@@ -64,6 +64,7 @@ from repro.faults.models import fault_preset
 from repro.hardware.cluster import ClusterSpec
 from repro.model.config import TextModelConfig
 from repro.obs.metrics import MetricsRegistry
+from repro.ordered_sum import ordered_sum
 from repro.parallel.config import JobConfig
 from repro.parallel.planner import Plan, plan_parallelism, replan_for_gpu_count
 from repro.pp.registry import schedule_entry
@@ -714,12 +715,12 @@ def simulate_run(
         # Gray faults attach to steps *after* their arrival: tax what is
         # active as this step starts.
         taxed = [g for g in active_gray]
-        gray_extra = sum(gray_fact(g, "tax") for g in taxed)
+        gray_extra = ordered_sum(gray_fact(g, "tax") for g in taxed)
         ladders: List[int] = []
         abort = None  # (reason, FailureEvent)
 
         def completion_time() -> float:
-            overhead = sum(
+            overhead = ordered_sum(
                 config.retry_policy.retry_overhead_seconds(k)
                 for k in ladders)
             return t + base + transient_extra + gray_extra + overhead

@@ -13,7 +13,7 @@ the debugging tools in :mod:`repro.debug` then analyse exactly the way
 Section 6.1 describes for production traces.
 """
 
-from repro.sim.engine import RankFold, Simulator, TraceEvent, StreamKey
+from repro.sim.engine import Simulator, TraceEvent, StreamKey
 from repro.sim.collectives import (
     DEFAULT_COLLECTIVE_TIMEOUT_SECONDS,
     DEFAULT_RETRY_POLICY,
@@ -29,7 +29,6 @@ from repro.sim.collectives import (
 )
 
 __all__ = [
-    "RankFold",
     "Simulator",
     "TraceEvent",
     "StreamKey",

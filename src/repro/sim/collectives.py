@@ -31,6 +31,7 @@ from typing import Sequence
 
 from repro.hardware.cluster import ClusterSpec
 from repro.hardware.network import LinkSpec, effective_bandwidth
+from repro.ordered_sum import ordered_sum
 
 #: Default collective watchdog timeout, in simulated seconds.  This is the
 #: single constant behind every timeout-shaped behaviour in the repo: a
@@ -79,7 +80,7 @@ class RetryPolicy:
     def retry_overhead_seconds(self, failed_attempts: int) -> float:
         """Total time ``failed_attempts`` timeouts + backoffs add before
         the successful attempt starts."""
-        return sum(
+        return ordered_sum(
             self.timeout_seconds + self.backoff_seconds(k)
             for k in range(failed_attempts)
         )

@@ -37,10 +37,7 @@ inspection (see ``docs/engine.md``):
 * :meth:`run_collective` evaluates per-rank join times and payload
   durations in one batched pass (and skips the per-rank modifier walk
   entirely when no modifiers are registered), so paper-scale collectives
-  cost one Python loop, not four;
-* opt-in *rank-symmetry folding* (:class:`RankFold`) simulates one DP
-  replica and fans events out to all replicas lazily — a 131K-rank mesh
-  of identical replicas costs one replica's submissions.
+  cost one Python loop, not four.
 
 The semantics are pinned by a differential harness (``tests/harness``)
 that replays every seeded workload through the frozen pre-fast-path
@@ -142,47 +139,6 @@ class TraceEvent:
                 f"group={self.group}, tags={self.tags})")
 
 
-class RankFold:
-    """Opt-in rank-symmetry folding: simulate one replica, fan out many.
-
-    Data-parallel replicas of a training step execute *identical*
-    per-rank timelines whenever nothing couples them (no cross-replica
-    collectives, no replica-specific faults).  Folding exploits that:
-    the caller submits only the base replica (ranks ``0..stride-1``) and
-    the engine lazily projects the timeline onto all ``replicas``
-    copies — replica ``k`` holds ranks ``k*stride .. (k+1)*stride-1``,
-    with identical timings and rank-shifted collective groups.
-
-    The fold is a *contract*, not a check: the engine validates that no
-    submission names a rank outside the base replica, but it cannot know
-    whether the modelled workload really is replica-symmetric — that is
-    the caller's promise (and the differential harness proves the
-    projection itself exact by explicit per-replica replay).
-
-    Attributes:
-        replicas: Number of identical copies (>= 1).
-        stride: Ranks per replica; replica ``k`` spans
-            ``[k*stride, (k+1)*stride)``.
-    """
-
-    __slots__ = ("replicas", "stride")
-
-    def __init__(self, replicas: int, stride: int) -> None:
-        if replicas < 1:
-            raise ValueError("fold needs replicas >= 1")
-        if stride < 1:
-            raise ValueError("fold needs stride >= 1")
-        self.replicas = replicas
-        self.stride = stride
-
-    @property
-    def world_size(self) -> int:
-        return self.replicas * self.stride
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"RankFold(replicas={self.replicas}, stride={self.stride})"
-
-
 class _StreamState:
     """Incremental accounting for one (rank, stream) pair."""
 
@@ -207,16 +163,13 @@ class Simulator:
         1.0
     """
 
-    def __init__(self, fold: Optional[RankFold] = None) -> None:
+    def __init__(self) -> None:
         self._streams: Dict[StreamKey, _StreamState] = {}
         self._events: List[TraceEvent] = []
         self._rank_events: Dict[int, List[TraceEvent]] = {}
         self._modifiers: List[DurationModifier] = []
         self._max_end = 0.0
         self._tag_intern: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
-        self._fold = fold
-        #: Cache of the fanned-out event list: (base length, list).
-        self._fold_cache: Optional[Tuple[int, List[TraceEvent]]] = None
 
     # ------------------------------------------------------------------
     # Fault hooks
@@ -262,11 +215,6 @@ class Simulator:
         key = (rank, stream)
         st = self._streams.get(key)
         if st is None:
-            if self._fold is not None and not 0 <= rank < self._fold.stride:
-                raise ValueError(
-                    f"rank {rank} outside the folded base replica "
-                    f"[0, {self._fold.stride}) — submit base-replica ranks "
-                    f"only when folding")
             st = self._streams[key] = _StreamState()
         return st
 
@@ -472,86 +420,17 @@ class Simulator:
         self._commit(st, event)
 
     # ------------------------------------------------------------------
-    # Symmetry folding
-    # ------------------------------------------------------------------
-
-    @property
-    def fold(self) -> Optional[RankFold]:
-        """The active rank fold, or None when the engine is unfolded."""
-        return self._fold
-
-    def _shift_events(
-        self, base: Iterable[TraceEvent], offset: int,
-        group_cache: Dict[Tuple[Tuple[int, ...], int], Tuple[int, ...]],
-    ) -> List[TraceEvent]:
-        """Base-replica events projected onto the replica at ``offset``."""
-        if offset == 0:
-            return list(base)
-        out = []
-        append = out.append
-        for e in base:
-            group = e.group
-            if group:
-                key = (group, offset)
-                shifted = group_cache.get(key)
-                if shifted is None:
-                    shifted = group_cache[key] = tuple(
-                        r + offset for r in group)
-                group = shifted
-            append(TraceEvent(e.name, e.kind, e.rank + offset, e.stream,
-                              e.start, e.end, group, e.tags))
-        return out
-
-    def _fold_events(self) -> List[TraceEvent]:
-        """The fanned-out event list, replica-major, lazily cached.
-
-        Replica-major order (all of replica 0's events in submission
-        order, then replica 1's, ...) is the order an unfolded engine
-        produces when the caller replays the base submissions once per
-        replica — the equivalence the differential harness pins.
-        """
-        assert self._fold is not None
-        cached = self._fold_cache
-        if cached is not None and cached[0] == len(self._events):
-            return cached[1]
-        group_cache: Dict[Tuple[Tuple[int, ...], int], Tuple[int, ...]] = {}
-        out: List[TraceEvent] = []
-        for k in range(self._fold.replicas):
-            out.extend(self._shift_events(
-                self._events, k * self._fold.stride, group_cache))
-        self._fold_cache = (len(self._events), out)
-        return out
-
-    def _base_rank(self, rank: int) -> int:
-        """Map a folded global rank back onto the base replica."""
-        fold = self._fold
-        if fold is None:
-            return rank
-        if not 0 <= rank < fold.world_size:
-            # Outside the folded world: no events there, same as the
-            # unfolded engine's behaviour for a never-seen rank.
-            return rank
-        return rank % fold.stride
-
-    # ------------------------------------------------------------------
     # Inspection API
     # ------------------------------------------------------------------
 
     @property
     def events(self) -> List[TraceEvent]:
-        """All recorded events, in submission order.
-
-        Under a :class:`RankFold` this is the fanned-out timeline,
-        replica-major; the returned list is cached between submissions,
-        so repeated access is cheap.
-        """
-        if self._fold is not None:
-            return list(self._fold_events())
+        """All recorded events, in submission order."""
         return list(self._events)
 
     def now(self, rank: int, stream: str) -> float:
         """Time at which a stream becomes free."""
-        st = self._streams.get((self._base_rank(rank), stream))
+        st = self._streams.get((rank, stream))
         return st.free if st is not None else 0.0
 
     def makespan(self, ranks: Optional[Iterable[int]] = None) -> float:
@@ -563,7 +442,7 @@ class Simulator:
         if ranks is None:
             return self._max_end
         out = 0.0
-        seen = {self._base_rank(r) for r in ranks}
+        seen = set(ranks)
         for (rank, _), st in self._streams.items():
             if rank in seen and st.max_end > out:
                 out = st.max_end
@@ -577,21 +456,14 @@ class Simulator:
         Indexed per rank on submit, so the cost is O(that rank's events)
         rather than a scan of the whole timeline.
         """
-        base_rank = self._base_rank(rank)
-        bucket = self._rank_events.get(base_rank, [])
+        bucket = self._rank_events.get(rank, [])
         if stream is None and kind is None:
-            out = list(bucket)
-        else:
-            out = [
-                e for e in bucket
-                if (stream is None or e.stream == stream)
-                and (kind is None or e.kind == kind)
-            ]
-        if self._fold is not None and rank != base_rank:
-            group_cache: Dict[
-                Tuple[Tuple[int, ...], int], Tuple[int, ...]] = {}
-            out = self._shift_events(out, rank - base_rank, group_cache)
-        return out
+            return list(bucket)
+        return [
+            e for e in bucket
+            if (stream is None or e.stream == stream)
+            and (kind is None or e.kind == kind)
+        ]
 
     def overlapping_events(
         self,
@@ -614,22 +486,12 @@ class Simulator:
                     offenders.append((active, cur))
                 if active is None or cur.end > active.end:
                     active = cur
-        if self._fold is not None and offenders:
-            group_cache: Dict[
-                Tuple[Tuple[int, ...], int], Tuple[int, ...]] = {}
-            fanned: List[Tuple[TraceEvent, TraceEvent]] = []
-            for k in range(self._fold.replicas):
-                offset = k * self._fold.stride
-                for a, b in offenders:
-                    pair = self._shift_events((a, b), offset, group_cache)
-                    fanned.append((pair[0], pair[1]))
-            return fanned
         return offenders
 
     def busy_time(self, rank: int, stream: str = "compute") -> float:
         """Total busy duration on a stream (events never overlap per
         stream).  Accumulated incrementally on submit — O(1)."""
-        st = self._streams.get((self._base_rank(rank), stream))
+        st = self._streams.get((rank, stream))
         return st.busy if st is not None else 0.0
 
     def idle_time(self, rank: int, stream: str = "compute") -> float:

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry
+from repro.ordered_sum import ordered_sum
 from repro.pp.layout import PipelineLayout, StageAssignment
 from repro.pp.schedule import PipelineOp, PipelineSchedule
 from repro.sim.engine import Simulator, TraceEvent
@@ -257,7 +258,7 @@ class PipelineRun:
     @property
     def mean_bubble_ratio(self) -> float:
         ratios = self.bubble_ratios
-        return sum(ratios) / len(ratios)
+        return ordered_sum(ratios) / len(ratios)
 
 
 def summarize_pipeline_execution(

@@ -70,7 +70,6 @@ def _pair_key(pair: Tuple[object, object]) -> tuple:
 def compare_simulators(
     ref,
     fast,
-    ranks: Optional[Sequence[int]] = None,
     streams: Optional[Sequence[str]] = None,
     check_overlaps: bool = True,
 ) -> List[str]:
@@ -90,8 +89,7 @@ def compare_simulators(
         problems.append(
             f"makespan: reference={ref.makespan()!r} fast={fast.makespan()!r}")
 
-    if ranks is None:
-        ranks = sorted({e.rank for e in ref.events})
+    ranks = sorted({e.rank for e in ref.events})
     if streams is None:
         streams = sorted({e.stream for e in ref.events})
 

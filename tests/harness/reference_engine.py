@@ -3,12 +3,14 @@
 This module is the differential-testing oracle for the fast engine: it is
 the exact simulator implementation the repository shipped before the
 fast-path refactor, copied here unchanged (only this header and the class
-alias at the bottom were added).  Do NOT edit it to track engine changes —
-its whole value is that it does not move.  The harness in this package
-replays every seeded workload through both engines and asserts bitwise
-equality of the resulting ``TraceEvent`` streams, makespans, and busy/idle
-accounting; ``repro verify --engine`` fuzzes random submission sequences
-against it (see ``docs/engine.md`` for the equivalence contract).
+alias at the bottom were added, and ``busy_time`` sums in an explicit
+left-to-right loop, which keeps its Python 3.11 bits on 3.12 as well).
+Do NOT edit it to track engine changes — its whole value is that it does
+not move.  The harness in this package replays every seeded workload
+through both engines and asserts bitwise equality of the resulting
+``TraceEvent`` streams, makespans, and busy/idle accounting;
+``repro verify --engine`` fuzzes random submission sequences against it
+(see ``docs/engine.md`` for the equivalence contract).
 """
 
 from __future__ import annotations
@@ -334,7 +336,10 @@ class Simulator:
 
     def busy_time(self, rank: int, stream: str = "compute") -> float:
         """Total busy duration on a stream (events never overlap per stream)."""
-        return sum(e.duration for e in self.events_for(rank, stream))
+        total = 0
+        for e in self.events_for(rank, stream):
+            total = total + e.duration
+        return total
 
     def idle_time(self, rank: int, stream: str = "compute") -> float:
         """Makespan minus busy time on one rank's stream."""

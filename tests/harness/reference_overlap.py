@@ -6,8 +6,10 @@ function (and its ``_merged_intervals`` helper) exactly as the
 repository shipped it before the window search: every comm event is
 summed against *every* merged compute interval of its rank, O(comm x
 compute) per rank.  The code below the banner is copied unchanged; only
-this header and the imports were added.  Do NOT edit it to track the
-live code — its whole value is that it does not move.
+this header and the imports were added, and the ``hidden`` sum is an
+explicit left-to-right loop, which keeps its Python 3.11 bits on 3.12 as
+well.  Do NOT edit it to track the live code — its whole value is that it
+does not move.
 ``tests/harness/test_overlap_differential.py`` runs both over randomized
 and real step timelines and asserts every sample is bitwise equal.
 """
@@ -69,10 +71,10 @@ def record_comm_overlap_metrics(
             (e.start, e.end) for e in sim.events_for(rank, kind="compute"))
         by_stream: Dict[str, Tuple[float, float]] = {}
         for event in sim.events_for(rank, kind="comm"):
-            hidden = sum(
-                max(0.0, min(event.end, ce) - max(event.start, cs))
-                for cs, ce in compute
-            )
+            hidden = 0
+            for cs, ce in compute:
+                hidden = hidden + max(
+                    0.0, min(event.end, ce) - max(event.start, cs))
             tot_s, ov_s = by_stream.get(event.stream, (0.0, 0.0))
             by_stream[event.stream] = (tot_s + event.duration, ov_s + hidden)
         label = rank_map.get(rank, rank)

@@ -13,11 +13,11 @@ import pytest
 from repro.analysis.critical_path import extract_critical_path
 from repro.hardware.cluster import grand_teton
 from repro.model.config import LLAMA3_8B
-from repro.sim.engine import RankFold, Simulator
+from repro.sim.engine import Simulator
 from repro.train.step import simulate_step
 from tests.harness.diffing import compare_simulators, floats_identical
 from tests.harness.reference_engine import ReferenceSimulator
-from tests.harness.workloads import FOLD_WORKLOADS, STANDARD_MESHES
+from tests.harness.workloads import STANDARD_MESHES, wl_dp_replicas
 
 
 class TestWorkloadEquivalence:
@@ -57,40 +57,28 @@ class TestCriticalPathEquivalence:
         assert ref_path.slack_by_uid == fast_path.slack_by_uid
 
 
-class TestFoldEquivalence:
-    """Folded fast engine == reference replaying every replica explicitly."""
+class TestUnseenRankEquivalence:
+    """A rank with no events reads the same on both engines."""
 
-    @pytest.mark.parametrize(
-        "name,replicas,stride,fn", FOLD_WORKLOADS,
-        ids=[w[0] for w in FOLD_WORKLOADS])
-    def test_fold_matches_explicit_replicas(self, name, replicas, stride, fn):
-        reference = ReferenceSimulator()
-        for k in range(replicas):
-            fn(reference, k * stride)
-
-        folded = Simulator(fold=RankFold(replicas=replicas, stride=stride))
-        fn(folded, 0)
-
-        problems = compare_simulators(
-            reference, folded,
-            ranks=range(replicas * stride))
-        assert not problems, "\n".join(problems)
-
-    def test_fold_rejects_out_of_replica_ranks(self):
-        sim = Simulator(fold=RankFold(replicas=4, stride=2))
-        with pytest.raises(ValueError, match="base replica"):
-            sim.run(2, "compute", 1.0, "oops")
-        with pytest.raises(ValueError, match="base replica"):
-            sim.run_collective([0, 3], "comm", 1.0, "oops")
-
-    def test_fold_unseen_rank_reads_zero(self):
-        sim = Simulator(fold=RankFold(replicas=2, stride=4))
-        sim.run(0, "compute", 1.0, "a")
-        # Rank 9 is outside the folded world: same answers as an
-        # unfolded engine gives for a never-seen rank.
-        assert sim.now(9, "compute") == 0.0
-        assert sim.events_for(9) == []
-        assert sim.busy_time(9) == 0.0
+    def test_unseen_rank_matches_reference(self):
+        reference, fast = ReferenceSimulator(), Simulator()
+        wl_dp_replicas(reference)
+        wl_dp_replicas(fast)
+        # The workload covers ranks 0..31; neither of these ever ran.
+        for rank in (32, 99):
+            assert fast.events_for(rank) == reference.events_for(rank) == []
+            assert fast.events_for(rank, stream="tp", kind="comm") == []
+            for check, ref_v, fast_v in (
+                ("makespan", reference.makespan([rank]),
+                 fast.makespan([rank])),
+                ("now", reference.now(rank, "compute"),
+                 fast.now(rank, "compute")),
+                ("busy_time", reference.busy_time(rank), fast.busy_time(rank)),
+                ("idle_time", reference.idle_time(rank), fast.idle_time(rank)),
+            ):
+                assert floats_identical(ref_v, fast_v), (
+                    f"{check}({rank}): reference={ref_v!r} fast={fast_v!r}")
+        assert fast.idle_time(99) == fast.makespan() > 0.0
 
 
 class TestEngineFuzzEquivalence:

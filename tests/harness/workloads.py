@@ -243,6 +243,32 @@ def wl_resilience_no_checkpoint(sim) -> None:
         sim=sim)
 
 
+# ----------------------------------------------------------------------
+# Data-parallel replicas
+# ----------------------------------------------------------------------
+
+def wl_dp_replicas(sim) -> None:
+    """Eight identical 4-rank replicas, submitted one after another.
+
+    Each replica runs three compute/collective rounds with several
+    disjoint collective groups per round, then one zero-length task —
+    the submission shape of a data-parallel step replayed replica by
+    replica.
+    """
+    for offset in range(0, 32, 4):
+        ranks = [offset + r for r in range(4)]
+        prev = {}
+        for step in range(3):
+            for r in ranks:
+                prev[r] = sim.run(r, "compute", 0.2 + 0.01 * (r - offset),
+                                  f"fwd:s{step}")
+            sim.run_collective(ranks, "tp", 0.05, f"ag:s{step}",
+                               after={r: [prev[r]] for r in ranks})
+            sim.run_collective(ranks[:2], "tp", 0.03, f"rs_a:s{step}")
+            sim.run_collective(ranks[2:], "tp", 0.03, f"rs_b:s{step}")
+        sim.run(ranks[1], "compute", 0.0, "zero")
+
+
 DIFFERENTIAL_WORKLOADS: Tuple[Workload, ...] = tuple(
     [Workload(f"step_{name}", _step_workload(par, job, ngpu))
      for name, par, job, ngpu in STANDARD_MESHES]
@@ -268,36 +294,6 @@ DIFFERENTIAL_WORKLOADS: Tuple[Workload, ...] = tuple(
         Workload("record_splices", wl_record_splices),
         Workload("resilience_run", wl_resilience_run),
         Workload("resilience_no_checkpoint", wl_resilience_no_checkpoint),
+        Workload("dp_replicas", wl_dp_replicas),
     ]
-)
-
-
-# ----------------------------------------------------------------------
-# Rank-symmetry folding scenarios
-# ----------------------------------------------------------------------
-
-def wl_fold_replica(sim, offset: int) -> None:
-    """One DP replica's worth of submissions, shifted by ``offset``.
-
-    The fold tests submit this once (offset 0) into a folded fast
-    engine and once per replica (offset = k * stride) into the
-    reference, then diff the fanned-out timelines.
-    """
-    ranks = [offset + r for r in range(4)]
-    prev = {}
-    for step in range(3):
-        for r in ranks:
-            prev[r] = sim.run(r, "compute", 0.2 + 0.01 * (r - offset),
-                              f"fwd:s{step}")
-        sim.run_collective(ranks, "tp", 0.05, f"ag:s{step}",
-                           after={r: [prev[r]] for r in ranks})
-        sim.run_collective(ranks[:2], "tp", 0.03, f"rs_a:s{step}")
-        sim.run_collective(ranks[2:], "tp", 0.03, f"rs_b:s{step}")
-    sim.run(ranks[1], "compute", 0.0, "zero")
-
-
-#: (name, replicas, stride, fn(sim, offset)).
-FOLD_WORKLOADS: Tuple[Tuple[str, int, int, Callable], ...] = (
-    ("dp8_replicas", 8, 4, wl_fold_replica),
-    ("dp1_degenerate", 1, 4, wl_fold_replica),
 )

@@ -1,10 +1,11 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 
 class TestPlan:
@@ -156,6 +157,61 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("repro: error: ")
         assert err.count("\n") == 1
+
+
+WORKLOAD_8 = ["trace", "--cmd", "workload", "--tp", "4", "--cp", "2",
+              "--pp", "1", "--dp", "1", "--ngpu", "8", "--stdout"]
+
+#: One illegal input (or more) for every subcommand.
+ILLEGAL_INPUTS = [
+    ["plan", "--gbs", "0"],
+    ["step", "--model", "8b", "--ngpu", "8", "--gbs", "7", "--tp", "2",
+     "--pp", "2", "--dp", "2"],
+    ["phases", "--phase", "nope"],
+    ["ordering", "--tp", "3"],
+    ["imbalance", "--seed", "-1"],
+    ["imbalance", "--dp", "0"],
+    ["imbalance", "--mean-doc", "0"],
+    WORKLOAD_8 + ["--steps", "0"],
+    WORKLOAD_8 + ["--steps", "-1"],
+    ["analyze", "--top", "0"],
+    ["faults", "--preset", "nope"],
+    ["run", "--steps", "0"],
+    ["verify", "--fuzz", "1", "--seed", "-1"],
+    ["verify", "--fuzz", "1", "--seed", "-1", "--engine"],
+    ["verify", "--fuzz", "1", "--seed", "-1", "--faults"],
+    ["verify", "--fuzz", "1", "--seed", "-1", "--resilience"],
+    ["schedules", "--names", "--json"],
+]
+
+
+def _exit_code(argv) -> int:
+    """The exit status ``repro argv`` gives the shell; any other
+    exception escapes, as it would as a traceback."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestEverySubcommandUsageError:
+    """Every subcommand turns an illegal input into exit 2 and one
+    ``repro: error:`` line, never a traceback."""
+
+    def test_cases_cover_every_subcommand(self):
+        parser = build_parser()
+        subparsers = next(a for a in parser._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        assert {argv[0] for argv in ILLEGAL_INPUTS} == set(
+            subparsers.choices)
+
+    @pytest.mark.parametrize("argv", ILLEGAL_INPUTS, ids=" ".join)
+    def test_exit_2_without_traceback(self, argv, capsys):
+        assert _exit_code(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 class TestRunValidation:

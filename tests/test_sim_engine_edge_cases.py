@@ -5,15 +5,14 @@ while rewriting the engine: record() splices interleaved with run(),
 zero-duration tasks, modifier chains that restore the original duration
 (must NOT be tagged ``faulted`` — the rule is ``modified != original``,
 not "modifiers ran"), collective group validation,
-``TraceEvent.replace`` field checking, ``RankFold`` validation, and the
-incremental busy/idle accounting identity ``busy + idle == makespan``
-under fault injection.
+``TraceEvent.replace`` field checking, and the incremental busy/idle
+accounting identity ``busy + idle == makespan`` under fault injection.
 """
 
 import pytest
 
 from repro.faults.models import ComputeStraggler, DegradedLink, FaultPlan
-from repro.sim.engine import RankFold, Simulator, TraceEvent
+from repro.sim.engine import Simulator, TraceEvent
 
 
 class TestRecordSplices:
@@ -151,17 +150,6 @@ class TestTraceEventReplace:
         b = TraceEvent("a", "compute", 0, "s", 0.0, 1.0)
         assert a == b and hash(a) == hash(b)
         assert a != b.replace(end=2.0)
-
-
-class TestRankFoldValidation:
-    def test_rejects_nonpositive_shape(self):
-        with pytest.raises(ValueError):
-            RankFold(replicas=0, stride=4)
-        with pytest.raises(ValueError):
-            RankFold(replicas=2, stride=0)
-
-    def test_world_size(self):
-        assert RankFold(replicas=8, stride=4).world_size == 32
 
 
 class TestBusyIdleAccounting:
