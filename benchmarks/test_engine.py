@@ -3,8 +3,10 @@
 Two measurements:
 
 1. **131K-rank collectives** — full-world synchronizing collectives at
-   the paper's headline scale (128 * 1024 ranks) at a pinned events/sec
-   floor, exercising the batched per-rank cost evaluation.
+   the paper's headline scale (128 * 1024 ranks), submitted through
+   :func:`repro.debug.workload.join_collective` (per-rank joins read
+   with ``now``, events appended with ``record``), at a pinned
+   events/sec floor.
 2. **Zero-bubble build+execute** — the split-backward schedule at the
    acceptance shape (16 stages x 64 microbatches), built by the schedule
    registry and executed through the BI/BW lowering.
@@ -23,6 +25,7 @@ import json
 import pathlib
 import time
 
+from repro.debug.workload import join_collective
 from repro.sim.engine import Simulator
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
@@ -33,8 +36,7 @@ _BENCH: dict = {}
 PP, NMB = 16, 64
 
 #: Pinned floor (events/sec; generous vs observed local rates so cold
-#: CI runners pass, tight enough that losing the batched collective
-#: path fails).
+#: CI runners pass, tight enough that a per-rank slow path fails).
 FLOOR_COLLECTIVE_EPS = 150_000.0
 
 
@@ -43,12 +45,12 @@ def test_131k_rank_collectives(report):
     rounds = 4
     ranks = list(range(world))
     sim = Simulator()
-    # One late joiner on the first round exercises the dependency path.
-    late = {7: [sim.run(7, "compute", 1e-4, "late")]}
+    # One late joiner on the first round: rank 7's stream is busy when
+    # the first collective starts, so the whole world waits for it.
+    sim.run(7, "dp", 1e-4, "late")
     t0 = time.perf_counter()
     for i in range(rounds):
-        sim.run_collective(ranks, "dp", 0.01, f"ar{i}",
-                           after=late if i == 0 else None)
+        join_collective(sim, ranks, "dp", 0.01, f"ar{i}")
     elapsed = time.perf_counter() - t0
     n_events = world * rounds
     eps = n_events / elapsed
@@ -70,6 +72,7 @@ def test_131k_rank_collectives(report):
 
     assert len(sim.events) == n_events + 1  # plus the late joiner
     assert sim.makespan() > 0.04  # four chained 0.01 s rounds
+    assert sim.events[1].end == 1e-4 + 0.01  # round 0 waited for rank 7
     assert eps >= FLOOR_COLLECTIVE_EPS, (
         f"{eps:,.0f} events/sec at 131K ranks "
         f"(floor {FLOOR_COLLECTIVE_EPS:,.0f})")

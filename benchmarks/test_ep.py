@@ -4,13 +4,14 @@ Two measurements back the EP path (see docs/moe.md):
 
 1. **131K-rank all-to-all rounds** — the full world partitioned into
    EP groups of 8, every group running its dispatch/combine pair on the
-   dedicated ``ep`` stream, at a pinned events/sec floor.  Exercises
-   the batched per-rank collective accounting across many small groups
-   (the EP shape) rather than one world-spanning group.
-2. **Folded-replica EP step** — a full MoE ``simulate_step`` at the
-   paper's headline scale (131,072 ranks): the DP replicas fold, the
-   EP all-to-alls land on their own stream, and the wall-clock stays
-   interactive.
+   dedicated ``ep`` stream through
+   :func:`repro.debug.workload.join_collective`, at a pinned events/sec
+   floor.  Exercises the per-rank collective accounting across many
+   small groups (the EP shape) rather than one world-spanning group.
+2. **EP step** — a full MoE ``simulate_step`` at the paper's headline
+   scale (131,072 ranks): the step graph carries one program per
+   pipeline rank, the EP all-to-alls land on their own stream, and the
+   wall-clock stays interactive.
 
 Writes ``benchmarks/results/BENCH_ep.json`` (events/sec, elapsed,
 step numbers) for the CI ``ep-smoke`` job to upload; the pinned floors
@@ -21,6 +22,7 @@ import json
 import pathlib
 import time
 
+from repro.debug.workload import join_collective
 from repro.hardware.cluster import grand_teton
 from repro.model.config import LLAMA3_8B
 from repro.parallel.config import JobConfig, ParallelConfig
@@ -35,8 +37,7 @@ WORLD = 131_072
 EP = 8
 
 #: Pinned floors/ceilings (generous vs observed local rates so cold CI
-#: runners pass, tight enough that losing the batched collective path
-#: or replica folding fails).
+#: runners pass, tight enough that a per-rank slow path fails).
 FLOOR_A2A_EPS = 100_000.0
 CEIL_STEP_SECONDS = 20.0
 
@@ -48,8 +49,8 @@ def test_131k_rank_all_to_all(report):
     t0 = time.perf_counter()
     for tag in ("dispatch", "combine"):
         for g0 in range(0, WORLD, EP):
-            sim.run_collective(list(range(g0, g0 + EP)), "ep", 0.002,
-                               f"ep:{tag}:{g0}")
+            join_collective(sim, range(g0, g0 + EP), "ep", 0.002,
+                            f"ep:{tag}:{g0}")
     elapsed = time.perf_counter() - t0
     n_events = WORLD * rounds
     eps = n_events / elapsed
@@ -76,8 +77,8 @@ def test_131k_rank_all_to_all(report):
         f"(floor {FLOOR_A2A_EPS:,.0f})")
 
 
-def test_folded_ep_step_131k(report):
-    """End-to-end MoE step at 131,072 ranks via replica folding."""
+def test_ep_step_131k(report):
+    """End-to-end MoE step at 131,072 ranks."""
     model = LLAMA3_8B.moe_variant(EP)
     par = ParallelConfig(tp=2, cp=1, ep=EP, pp=16,
                          dp=WORLD // (2 * EP * 16))
@@ -88,7 +89,7 @@ def test_folded_ep_step_131k(report):
     elapsed = time.perf_counter() - t0
     ep_events = [e for e in rep.execution.sim.events if e.stream == "ep"]
 
-    _BENCH["folded_ep_step_131k"] = {
+    _BENCH["ep_step_131k"] = {
         "world": WORLD, "parallel": par.describe(),
         "n_events": len(rep.execution.sim.events),
         "n_ep_events": len(ep_events),
@@ -98,7 +99,7 @@ def test_folded_ep_step_131k(report):
         "dropped_token_fraction": rep.dropped_token_fraction,
         "ceil_elapsed_seconds": CEIL_STEP_SECONDS,
     }
-    report.line(f"Folded EP step: {model.name} on {WORLD:,} ranks "
+    report.line(f"EP step: {model.name} on {WORLD:,} ranks "
                 f"({par.describe()})")
     report.table(
         ["events", "ep events", "elapsed s", "step s", "TFLOPs/GPU"],

@@ -521,7 +521,6 @@ def cmd_faults(args: argparse.Namespace) -> int:
         run_goodput,
     )
     from repro.obs.metrics import MetricsRegistry
-    from repro.sim.engine import Simulator
 
     cluster = grand_teton(args.ngpu)
     job = JobConfig(seq=args.seq, gbs=args.gbs, ngpu=args.ngpu)
@@ -532,12 +531,11 @@ def cmd_faults(args: argparse.Namespace) -> int:
     else:
         plan = fault_preset(args.preset, par.world_size)
     metrics = MetricsRegistry()
-    faulted_sim = Simulator() if args.trace else None
     try:
         gp = run_goodput(
             model, par, job, cluster, plan=plan,
             schedule_kind=args.schedule, detect=not args.no_detect,
-            metrics=metrics, faulted_sim=faulted_sim)
+            metrics=metrics)
     except ValueError as err:
         _fail(str(err))
     if args.trace:

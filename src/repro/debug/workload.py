@@ -11,6 +11,11 @@ op of one rank (a flaky GPU, deterministic-DVFS violation, or thermal
 throttle) — and the resulting trace is what
 :func:`repro.debug.trace_analysis.identify_slow_rank` diagnoses.
 
+Every event's duration goes through the plan's modifiers
+(:func:`repro.faults.models.perturb_duration`) before it is submitted,
+and every collective goes through :func:`join_collective`, which times
+the join itself and records one event per participant.
+
 This reproduces the paper's example: with (cp=2, tp=4) on 8 GPUs, slowing
 rank 6 makes rank 2 look like the TP-group bottleneck, but the top-down
 search correctly walks CP first and lands on rank 6.
@@ -19,14 +24,16 @@ search correctly walks CP first and lands on rank 6.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from repro.errors import ConfigError
 from repro.parallel.mesh import DeviceMesh
-from repro.sim.engine import Simulator
+from repro.sim.engine import Simulator, TraceEvent
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import (avoids a cycle)
-    from repro.faults.models import FaultPlan
+    from repro.faults.models import DurationModifier, FaultPlan
+
+_FAULTED = ("faulted",)
 
 
 @dataclass(frozen=True)
@@ -62,6 +69,52 @@ class WorkloadSpec:
                 f"{self.steps}, layers={self.layers})")
 
 
+def join_collective(
+    sim: Simulator,
+    group: Sequence[int],
+    stream: str,
+    duration: float,
+    name: str,
+    modifiers: Sequence["DurationModifier"] = (),
+) -> List[TraceEvent]:
+    """Run a synchronising collective across ``group`` on ``stream``.
+
+    Every participant joins at its own stream frontier
+    (``sim.now(rank, stream)``); the payload transfer begins only once
+    the **slowest** participant has joined (this is what makes slow-rank
+    localisation, Section 6.1, possible: fast ranks show long
+    collectives).  The payload takes the **maximum** of the per-rank
+    durations after ``modifiers`` (one rank's degraded link slows the
+    whole collective), and only the participants whose own duration
+    changed are tagged ``"faulted"``.
+
+    Returns one ``comm`` event per participant, in group order, each
+    spanning [join, collective end], so a rank's event duration includes
+    its wait for stragglers.
+    """
+    group = tuple(group)
+    now = sim.now
+    joins = [now(rank, stream) for rank in group]
+    if modifiers:
+        from repro.faults.models import perturb_duration
+
+        outs = [perturb_duration(modifiers, rank, stream, "comm", name,
+                                 duration)[0] for rank in group]
+        payload = max(outs)
+        tags = [_FAULTED if out != duration else () for out in outs]
+    else:
+        if duration < 0:
+            raise ValueError(f"negative duration for task {name!r}")
+        payload = duration
+        tags = [()] * len(group)
+    end = max(joins) + payload
+    events = [TraceEvent(name, "comm", rank, stream, join, end, group, tag)
+              for rank, join, tag in zip(group, joins, tags)]
+    for event in events:
+        sim.record(event)
+    return events
+
+
 def run_synthetic_workload(
     mesh: DeviceMesh,
     spec: WorkloadSpec = WorkloadSpec(),
@@ -75,12 +128,16 @@ def run_synthetic_workload(
         spec: Workload shape.
         sim: Simulator to record into.
         faults: Declarative fault plan (:class:`repro.faults.FaultPlan`)
-            installed as simulator duration modifiers before the workload
-            runs.
+            applied to every event's duration before it is submitted.
     """
+    from repro.faults.models import make_modifier, perturb_duration
+
     sim = sim or Simulator()
+    modifiers = []
     if faults is not None:
-        faults.install(sim, mesh)
+        faults.validate(mesh)
+        modifiers = [make_modifier(fault, fault.affected_ranks(mesh))
+                     for fault in faults]
     p = mesh.parallel
     world = mesh.world_size
     # The groups are fixed for the whole run, so build them once.  The
@@ -102,51 +159,38 @@ def run_synthetic_workload(
 
     for step in range(spec.steps):
         for layer in range(spec.layers):
+            name = f"compute:s{step}:l{layer}"
             for rank in range(world):
-                sim.run(
-                    rank=rank,
-                    stream="compute",
-                    duration=spec.compute_seconds,
-                    name=f"compute:s{step}:l{layer}",
-                    kind="compute",
-                )
+                duration, tags = spec.compute_seconds, ()
+                if modifiers:
+                    duration = perturb_duration(
+                        modifiers, rank, "compute", "compute", name,
+                        duration)[0]
+                    if duration != spec.compute_seconds:
+                        tags = _FAULTED
+                sim.run(rank, "compute", duration, name, tags=tags)
             # CP's KV all-gather feeds attention, then TP collectives wrap
             # the block — so CP precedes TP within a layer.  This ordering
             # is what creates Figure 8's decoy: a rank waiting on its CP
             # peer joins the following TP collective late and *looks* like
             # the TP-group bottleneck.
             for group in cp_groups:
-                sim.run_collective(
-                    group, stream="compute",
-                    duration=spec.cp_comm_seconds,
-                    name=f"cp:kv-ag:s{step}:l{layer}",
-                )
+                join_collective(sim, group, "compute", spec.cp_comm_seconds,
+                                f"cp:kv-ag:s{step}:l{layer}", modifiers)
             for group in tp_groups:
-                sim.run_collective(
-                    group, stream="compute",
-                    duration=spec.tp_comm_seconds,
-                    name=f"tp:ag:s{step}:l{layer}",
-                )
+                join_collective(sim, group, "compute", spec.tp_comm_seconds,
+                                f"tp:ag:s{step}:l{layer}", modifiers)
             # The expert FFN sits after attention, so the EP token
             # all-to-all (dispatch + combine folded into one event)
             # closes the layer.
             for group in ep_groups:
-                sim.run_collective(
-                    group, stream="compute",
-                    duration=spec.ep_comm_seconds,
-                    name=f"ep:a2a:s{step}:l{layer}",
-                )
+                join_collective(sim, group, "compute", spec.ep_comm_seconds,
+                                f"ep:a2a:s{step}:l{layer}", modifiers)
         for pair in pp_pairs:
-            sim.run_collective(
-                pair, stream="compute",
-                duration=spec.pp_comm_seconds,
-                name=f"pp:p2p:s{step}",
-            )
+            join_collective(sim, pair, "compute", spec.pp_comm_seconds,
+                            f"pp:p2p:s{step}", modifiers)
         for group in dp_groups:
             if len(group) > 1:
-                sim.run_collective(
-                    list(group), stream="compute",
-                    duration=spec.dp_comm_seconds,
-                    name=f"dp:grad-rs:s{step}",
-                )
+                join_collective(sim, group, "compute", spec.dp_comm_seconds,
+                                f"dp:grad-rs:s{step}", modifiers)
     return sim

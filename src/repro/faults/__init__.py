@@ -1,9 +1,9 @@
 """Fault injection and resilience scoring (the Section 6.1 loop).
 
-Declarative fault models (:mod:`repro.faults.models`) inject into both
-simulation paths — the synthetic 5D workload via simulator duration
-modifiers, and the lowered step graph via a graph rewrite
-(:mod:`repro.faults.inject`).  The loop closes in
+Declarative fault models (:mod:`repro.faults.models`) perturb durations
+through one applier with two call sites: the synthetic 5D workload
+(:mod:`repro.debug.workload`) and the lowered step graph, via a graph
+rewrite (:mod:`repro.faults.inject`).  The loop closes in
 :mod:`repro.faults.detect` (does the top-down search find what was
 injected?) and :mod:`repro.faults.goodput` (what did the fault cost in
 tokens/s, MFU, and exposed communication?).  See ``docs/faults.md``.

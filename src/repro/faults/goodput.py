@@ -111,8 +111,6 @@ def run_goodput(
     workload_spec: WorkloadSpec = WorkloadSpec(),
     detect: bool = True,
     metrics: Optional[MetricsRegistry] = None,
-    healthy_sim: Optional[Simulator] = None,
-    faulted_sim: Optional[Simulator] = None,
 ) -> GoodputReport:
     """Simulate one step healthy and faulted, and score detection.
 
@@ -125,19 +123,20 @@ def run_goodput(
             above :data:`DETECTION_WORLD_LIMIT` global ranks.
         metrics: Registry the faulted step and the detection walk report
             into (step gauges, ``faults.injected_ops``, decision events).
-        healthy_sim / faulted_sim: Hand in simulators to export either
-            step timeline afterwards (e.g. ``repro faults --trace``).
+
+    Both step timelines stay readable afterwards as ``healthy.run.sim``
+    and ``faulted.run.sim`` (``repro faults --trace`` exports the
+    faulted one).
     """
     if not len(plan):
         raise ValueError("goodput comparison needs a non-empty fault plan")
     mesh = DeviceMesh(parallel)
     plan.validate(mesh)
     healthy = simulate_step(
-        model, parallel, job, cluster, schedule_kind=schedule_kind,
-        sim=healthy_sim)
+        model, parallel, job, cluster, schedule_kind=schedule_kind)
     faulted = simulate_step(
         model, parallel, job, cluster, schedule_kind=schedule_kind,
-        sim=faulted_sim, metrics=metrics, fault_plan=plan)
+        metrics=metrics, fault_plan=plan)
     assert faulted.fault_injection is not None
 
     detection: Optional[DetectionScore] = None

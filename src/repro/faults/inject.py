@@ -1,18 +1,16 @@
 """Fault injection into the lowered step graph.
 
-The step-graph path cannot use simulator duration modifiers directly:
 :mod:`repro.train.lowering` prices every op *before* execution, and the
-executor's ranks are pipeline ranks, not global ranks.  So faults are
-applied as a graph-to-graph rewrite instead: each fault in a
+executor's ranks are pipeline ranks, not global ranks.  So faults apply
+as a graph-to-graph rewrite: each fault in a
 :class:`~repro.faults.models.FaultPlan` is projected from global ranks
 onto the pipeline-rank axis (a fault on global rank ``r`` perturbs the
-program of pipeline rank ``mesh.coord_of(r).pp``), matched against each
-op's (kind, stream, name) by the same
-:func:`~repro.faults.models.make_modifier` rule the simulator path
-installs, and the matched ops rebuilt with perturbed durations.  The
-executor then runs the perturbed graph unchanged — fault cost composes
-with stream overlap and exposed-wait accounting exactly like healthy
-cost does.
+program of pipeline rank ``mesh.coord_of(r).pp``), every op's duration
+goes through :func:`~repro.faults.models.perturb_duration` — the same
+applier the synthetic workload uses — and the changed ops are rebuilt
+with their perturbed durations.  The executor then runs the perturbed
+graph unchanged — fault cost composes with stream overlap and
+exposed-wait accounting exactly like healthy cost does.
 
 One deliberate coarsening: the step graph carries one program per
 pipeline rank on behalf of the whole (tp, cp, dp) slice, so a fault on
@@ -27,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from repro.faults.models import FaultPlan, make_modifier
+from repro.faults.models import FaultPlan, make_modifier, perturb_duration
 from repro.parallel.mesh import DeviceMesh
 from repro.train.lowering import COMPUTE_STREAMS, StepGraph, StepOp
 
@@ -81,7 +79,7 @@ def apply_fault_plan(
     """Rewrite a step graph with a fault plan's perturbed durations.
 
     Faults apply in plan order, each seeing the previous one's output
-    (same chaining semantics as simulator duration modifiers).  Returns
+    (:func:`~repro.faults.models.perturb_duration`).  Returns
     the perturbed graph plus an :class:`InjectionReport`; the input graph
     is untouched.
     """
@@ -96,17 +94,11 @@ def apply_fault_plan(
     for prog in graph.programs:
         new_prog: List[StepOp] = []
         for op in prog:
-            kind = _sim_kind(op)
-            duration = op.duration
-            for idx, modifier in enumerate(modifiers):
-                perturbed = modifier(op.rank, op.stream, kind, op.name,
-                                     duration)
-                if perturbed != duration:
-                    per_fault[idx] += 1
-                duration = perturbed
-            if duration < 0:
-                raise ValueError(
-                    f"fault plan made op {op.name!r} negative ({duration})")
+            duration, changed = perturb_duration(
+                modifiers, op.rank, op.stream, _sim_kind(op), op.name,
+                op.duration)
+            for idx in changed:
+                per_fault[idx] += 1
             if duration != op.duration:
                 faulted.add(op.uid)
                 extra += duration - op.duration

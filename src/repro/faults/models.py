@@ -2,20 +2,18 @@
 
 Each model describes one production failure mode as *which ranks* it hits,
 *which events* it matches, and *how* it perturbs a matched event's
-duration.  The same model injects into both simulation paths through one
-perturbation rule, :func:`make_modifier`:
+duration.  One rule, :func:`make_modifier`, turns a model into a duration
+modifier, and one applier, :func:`perturb_duration`, runs a plan's
+modifiers on an event before it is submitted.  It has two call sites:
 
-* the synthetic Section 6.1 workload, through simulator duration
-  modifiers (:meth:`FaultPlan.install` +
-  :meth:`repro.sim.engine.Simulator.add_duration_modifier`), so faults
-  compose with stream overlap at run time;
-* the lowered step graph, by perturbing per-op durations before
+* the synthetic Section 6.1 workload (:mod:`repro.debug.workload`), with
+  global ranks, per compute task and per collective participant;
+* the lowered step graph, by rewriting per-op durations before
   :func:`repro.train.executor.execute_graph`
-  (:func:`repro.faults.inject.apply_fault_plan`, which calls the same
-  modifiers with pipeline ranks).
+  (:func:`repro.faults.inject.apply_fault_plan`), with pipeline ranks.
 
 A fault plan is the only way to perturb simulated time; the engine has no
-other hook.
+hook for it.
 
 The taxonomy (see ``docs/faults.md``):
 
@@ -35,8 +33,8 @@ The taxonomy (see ``docs/faults.md``):
                            extra work and ships a heavier all-to-all
 =====================  ==============================================
 
-Perturbation state is per (fault, rank) and created lazily, so one model
-instance can be installed into many simulators without sharing state.
+Perturbation state is per (modifier, rank) and created lazily, so one
+model instance can drive many runs without sharing state.
 """
 
 from __future__ import annotations
@@ -44,11 +42,13 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import (
     TYPE_CHECKING,
+    Callable,
     Dict,
     FrozenSet,
     Iterator,
     Mapping,
     Optional,
+    Sequence,
     Tuple,
 )
 
@@ -57,7 +57,11 @@ from repro.sim.collectives import DEFAULT_COLLECTIVE_TIMEOUT_SECONDS
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.parallel.mesh import DeviceMesh
-    from repro.sim.engine import DurationModifier, Simulator
+
+#: Duration modifier: ``(rank, stream, kind, name, duration)`` -> new
+#: duration.  Modifiers may be stateful closures (one-shot hangs, periodic
+#: jitter), so the order they see events in is part of their meaning.
+DurationModifier = Callable[[int, str, str, str, float], float]
 
 #: Event-name prefixes of each mesh dimension's communication, across both
 #: simulation paths (workload names `pp:`/`dp:`; step-graph names
@@ -457,12 +461,12 @@ class HotExpert:
 
 def make_modifier(
     fault, ranks: Optional[FrozenSet[int]],
-) -> "DurationModifier":
+) -> DurationModifier:
     """The one perturbation rule: a duration modifier for one fault.
 
     ``ranks`` is the affected-rank set in the caller's rank space (None =
-    every rank): global ranks for :meth:`FaultPlan.install`, pipeline
-    ranks for :func:`repro.faults.inject.apply_fault_plan`.  An event on
+    every rank): global ranks for the synthetic workload, pipeline ranks
+    for :func:`repro.faults.inject.apply_fault_plan`.  An event on
     an affected rank that the fault matches is perturbed with that rank's
     lazily-created state; every other event passes through unchanged.
     """
@@ -478,6 +482,30 @@ def make_modifier(
             duration, state.setdefault(rank, fault.fresh_state()))
 
     return modifier
+
+
+def perturb_duration(
+    modifiers: Sequence[DurationModifier],
+    rank: int, stream: str, kind: str, name: str, duration: float,
+) -> Tuple[float, Tuple[int, ...]]:
+    """Run a plan's modifiers on one event's duration, in plan order.
+
+    Each modifier sees the previous one's output.  Returns the final
+    duration and the indices of the modifiers that changed it; an event
+    counts as faulted when the final duration differs from ``duration``
+    (a chain that restores it bitwise, such as x2.0 then x0.5, does not).
+    Raises ``ValueError`` if the result is negative.
+    """
+    changed: Tuple[int, ...] = ()
+    out = duration
+    for idx, modifier in enumerate(modifiers):
+        perturbed = modifier(rank, stream, kind, name, out)
+        if perturbed != out:
+            changed += (idx,)
+        out = perturbed
+    if out < 0:
+        raise ValueError(f"fault plan made {name!r} negative ({out})")
+    return out, changed
 
 
 @dataclass(frozen=True)
@@ -504,13 +532,6 @@ class FaultPlan:
                 raise ConfigError(
                     f"fault {fault.describe()!r} targets ranks {sorted(bad)} "
                     f"outside world [0, {mesh.world_size})")
-
-    def install(self, sim: "Simulator", mesh: "DeviceMesh") -> None:
-        """Register every fault as a duration modifier on the simulator."""
-        self.validate(mesh)
-        for fault in self.faults:
-            sim.add_duration_modifier(
-                make_modifier(fault, fault.affected_ranks(mesh)))
 
     def expected_detection(self) -> Tuple[Optional[int], Optional[str]]:
         """(rank, attribution) the Section 6.1 search should pin, if the

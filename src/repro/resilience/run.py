@@ -45,12 +45,17 @@ restore that happens to pick a tainted record silently re-enters the
 corrupted state.  Detection forces a rollback past every tainted record
 to the newest clean one.
 
-The run timeline is recorded into a :class:`repro.sim.engine.Simulator`
-on rank 0 — steps on the ``compute`` stream, checkpoint/restart I/O on
-``io``, retry ladders on ``dp`` (it is the gradient sync that rides the
+The run timeline is a log on rank 0: each entry starts where the previous
+one ended and is ``record``-ed into a :class:`repro.sim.engine.Simulator`
+— steps on the ``compute`` stream, checkpoint/restart I/O on ``io``,
+retry ladders on ``dp`` (it is the gradient sync that rides the
 scale-out network), and zero-duration markers for failures, replans,
 detector verdicts, and mitigation decisions — so ``repro run --trace``
-exports the whole run as a Perfetto timeline.
+exports the whole run as a Perfetto timeline.  A retry ladder of ``k``
+failed attempts is ``k`` watchdog timeouts ``{name}#try{i}`` (tagged
+``retry``), each followed by its backoff ``{name}#backoff{i}`` (tagged
+``retry``, ``backoff``) when that backoff is positive, then the
+zero-length successful attempt ``{name}``.
 """
 
 from __future__ import annotations
@@ -91,7 +96,7 @@ from repro.resilience.tiers import (
     tier_write_seconds,
 )
 from repro.sim.collectives import DEFAULT_RETRY_POLICY, RetryPolicy
-from repro.sim.engine import Simulator
+from repro.sim.engine import Simulator, TraceEvent
 from repro.train.step import simulate_step
 
 #: Wall-clock bucket names, in report order.
@@ -276,7 +281,6 @@ def simulate_run(
     job: JobConfig,
     cluster: ClusterSpec,
     config: RunConfig,
-    sim: Optional[Simulator] = None,
     metrics: Optional[MetricsRegistry] = None,
     schedule_kind: Optional[str] = None,
 ) -> RunResult:
@@ -318,7 +322,7 @@ def simulate_run(
     tier's read cost on the current segment), and resumes from its step —
     from step 0 when nothing survives (or under :class:`NoCheckpoint`).
     """
-    sim = sim if sim is not None else Simulator()
+    sim = Simulator()
     taxonomy = config.taxonomy
     proc = FailureProcess(
         config.mtbf_seconds, seed=config.seed, taxonomy=taxonomy)
@@ -369,7 +373,7 @@ def simulate_run(
     mitigation_log: List[dict] = []
 
     t = 0.0
-    prev = None  # last timeline event, for `after=` chaining
+    log_end = 0.0  # end of the newest timeline entry
     done = 0        # steps finished since the run began (incl. uncommitted)
     capacity = job.ngpu
     # (step_no, duration, productive, degraded, fault, retry, gray) per
@@ -392,10 +396,12 @@ def simulate_run(
     det_rng = config.detector.rng(config.seed) if armed else None
 
     def emit(stream: str, duration: float, name: str, kind: str,
-             tags: tuple) -> None:
-        nonlocal prev
-        prev = sim.run(0, stream, duration, name, kind=kind,
-                       after=[prev] if prev is not None else None, tags=tags)
+             tags: tuple, group: tuple = ()) -> None:
+        nonlocal log_end
+        start = log_end
+        log_end = start + duration
+        sim.record(TraceEvent(name, kind, 0, stream, start, log_end, group,
+                              tags))
 
     def flush_pending() -> None:
         """Durable commit: attempts become final bucket accounting."""
@@ -751,15 +757,18 @@ def simulate_run(
             # Retry ladders first (the gradient sync that stalled), then
             # the step's compute span; both chained on the timeline.
             retry_overhead = 0.0
+            policy = config.retry_policy
             for i, attempts in enumerate(ladders):
-                events = sim.run_collective(
-                    [0], "dp", 0.0, f"retry:step{done}.{i}",
-                    after={0: [prev]} if prev is not None else None,
-                    failed_attempts=attempts,
-                    retry_policy=config.retry_policy)
-                prev = events[0]
-                retry_overhead += (
-                    config.retry_policy.retry_overhead_seconds(attempts))
+                name = f"retry:step{done}.{i}"
+                for k in range(attempts):
+                    emit("dp", policy.timeout_seconds, f"{name}#try{k}",
+                         "comm", ("retry",), (0,))
+                    backoff = policy.backoff_seconds(k)
+                    if backoff > 0:
+                        emit("dp", backoff, f"{name}#backoff{k}", "comm",
+                             ("retry", "backoff"))
+                emit("dp", 0.0, name, "comm", (), (0,))
+                retry_overhead += policy.retry_overhead_seconds(attempts)
             tags = ("step",)
             # A replanned fleet is normally slower than the ideal one,
             # but never let a surprisingly fast replan make the split

@@ -1,11 +1,11 @@
-"""Event-timeline engine with per-rank streams and synchronising collectives.
+"""Event-timeline engine: per-(rank, stream) timelines with dependency starts.
 
 The engine tracks, for every (rank, stream) pair, the time at which the
 stream becomes free.  Tasks are submitted in a causally consistent order —
 i.e. all of a task's dependencies must already have been submitted — which
 is the natural order for schedule executors that walk per-rank programs with
-a ready-list.  In exchange the engine stays a few hundred lines and the
-resulting traces are exact.
+a ready-list.  In exchange the engine stays small and the resulting traces
+are exact.
 
 Streams model CUDA streams: one ``compute`` stream per rank plus any number
 of communication streams (``p2p``, ``fsdp``, ``cp``...).  Work on different
@@ -13,17 +13,16 @@ streams of the same rank may overlap, which is how the simulator expresses
 communication/computation overlap (e.g. FSDP all-gather prefetch hidden
 under forward compute, Section 7.3.1).
 
-Fault injection composes with this overlap through *duration modifiers*
-(:meth:`Simulator.add_duration_modifier`, registered by
-:meth:`repro.faults.FaultPlan.install` — the engine's only way to perturb
-simulated time): every submitted task's duration passes through the
-registered modifier chain, so a degraded link or a throttled GPU
-(:mod:`repro.faults`) stretches exactly the events it matches —
-including each participant's contribution to a collective — and any
-event a modifier perturbed is tagged ``"faulted"`` in the trace.
+There are two ways in: :meth:`Simulator.run` times one task from its
+stream's frontier, its dependencies and an optional release time, and
+:meth:`Simulator.record` appends an event its caller already timed (trace
+merges, the rank-0 run log of :mod:`repro.resilience.run`, and the
+synchronising collectives of :mod:`repro.debug.workload`).  The engine
+never perturbs a duration: fault plans apply before submission
+(:func:`repro.faults.models.perturb_duration`).
 
 **Fast path.**  This is the hot module under everything — step graphs,
-fault fuzzing, detection matrices, multi-step Poisson runs — so the
+fault fuzzing, detection matrices, multi-step runs — so the
 implementation is tuned for raw submission throughput and O(1)-amortised
 inspection (see ``docs/engine.md``):
 
@@ -33,11 +32,7 @@ inspection (see ``docs/engine.md``):
 * makespan, per-stream busy time, and per-rank event buckets are
   maintained *incrementally on submit*, so :meth:`makespan`,
   :meth:`busy_time`, :meth:`idle_time`, and :meth:`events_for` never scan
-  the full event list;
-* :meth:`run_collective` evaluates per-rank join times and payload
-  durations in one batched pass (and skips the per-rank modifier walk
-  entirely when no modifiers are registered), so paper-scale collectives
-  cost one Python loop, not four.
+  the full event list.
 
 The semantics are pinned by a differential harness (``tests/harness``)
 that replays every seeded workload through the frozen pre-fast-path
@@ -47,17 +42,9 @@ here inside that contract.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
-
-from repro.sim.collectives import DEFAULT_RETRY_POLICY, RetryPolicy
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 StreamKey = Tuple[int, str]
-
-#: Duration-modifier hook: ``(rank, stream, kind, name, duration)`` -> new
-#: duration.  Modifiers may be stateful closures (one-shot hangs, periodic
-#: jitter); they run in registration order, each seeing the previous one's
-#: output.
-DurationModifier = Callable[[int, str, str, str, float], float]
 
 _EVENT_FIELDS = ("name", "kind", "rank", "stream", "start", "end",
                  "group", "tags")
@@ -83,8 +70,8 @@ class TraceEvent:
         start: Start timestamp in seconds.
         end: End timestamp in seconds.
         group: Optional tuple of participant ranks for collectives.
-        tags: Free-form labels; the engine adds ``"faulted"`` to any event
-            whose duration a registered modifier changed.
+        tags: Free-form labels, e.g. ``"faulted"`` on an event whose
+            duration a fault plan changed.
     """
 
     __slots__ = _EVENT_FIELDS
@@ -167,49 +154,20 @@ class Simulator:
         self._streams: Dict[StreamKey, _StreamState] = {}
         self._events: List[TraceEvent] = []
         self._rank_events: Dict[int, List[TraceEvent]] = {}
-        self._modifiers: List[DurationModifier] = []
         self._max_end = 0.0
         self._tag_intern: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
 
     # ------------------------------------------------------------------
-    # Fault hooks
+    # Internal helpers
     # ------------------------------------------------------------------
 
-    def add_duration_modifier(self, modifier: DurationModifier) -> None:
-        """Register a per-rank duration modifier (fault injection).
-
-        Every subsequent :meth:`run` and :meth:`run_collective` duration
-        flows through the chain; see :data:`DurationModifier`.
-        """
-        self._modifiers.append(modifier)
-
-    def _modified_duration(
-        self, rank: int, stream: str, kind: str, name: str, duration: float
-    ) -> Tuple[float, bool]:
-        """Duration after the modifier chain, plus whether it changed."""
-        out = duration
-        for modifier in self._modifiers:
-            out = modifier(rank, stream, kind, name, out)
-        if out < 0:
-            raise ValueError(
-                f"duration modifier made task {name!r} negative ({out})")
-        return out, out != duration
-
-    def _tagged(self, tags: Tuple[str, ...], faulted: bool) -> Tuple[str, ...]:
-        if faulted and "faulted" not in tags:
-            tags = tags + ("faulted",)
-        if not tags:
-            return tags
+    def _intern(self, tags: Tuple[str, ...]) -> Tuple[str, ...]:
         # Tags are low-cardinality; interning keeps million-event traces
         # from holding a million identical ("faulted",) tuples.
         interned = self._tag_intern.get(tags)
         if interned is None:
             interned = self._tag_intern[tags] = tags
         return interned
-
-    # ------------------------------------------------------------------
-    # Internal helpers
-    # ------------------------------------------------------------------
 
     def _stream(self, rank: int, stream: str) -> _StreamState:
         key = (rank, stream)
@@ -256,10 +214,6 @@ class Simulator:
         """
         if duration < 0:
             raise ValueError(f"negative duration for task {name!r}")
-        faulted = False
-        if self._modifiers:
-            duration, faulted = self._modified_duration(
-                rank, stream, kind, name, duration)
         st = self._stream(rank, stream)
         ready = st.free
         if not_before > ready:
@@ -269,148 +223,19 @@ class Simulator:
                 dep_end = dep.end
                 if dep_end > ready:
                     ready = dep_end
-        tags = self._tagged(tuple(tags), faulted) if (tags or faulted) else ()
+        tags = self._intern(tuple(tags)) if tags else ()
         event = TraceEvent(name, kind, rank, stream, ready, ready + duration,
                            (), tags)
         st.free = event.end
         self._commit(st, event)
         return event
 
-    def run_collective(
-        self,
-        ranks: Sequence[int],
-        stream: str,
-        duration: float,
-        name: str,
-        after: Optional[Dict[int, Sequence[TraceEvent]]] = None,
-        kind: str = "comm",
-        tags: Tuple[str, ...] = (),
-        failed_attempts: int = 0,
-        retry_policy: Optional[RetryPolicy] = None,
-    ) -> Dict[int, TraceEvent]:
-        """Run a synchronising collective across ``ranks``.
-
-        Every participant joins at its own ready time; the collective's
-        payload transfer begins only once the **slowest** participant has
-        joined (this is what makes slow-rank localisation, Section 6.1,
-        possible: fast ranks show long collectives).
-
-        Registered duration modifiers apply per participant: the payload
-        transfer takes the **maximum** of the per-rank modified durations,
-        so one rank's degraded link slows the whole collective, and only
-        the perturbed participants are tagged ``"faulted"``.
-
-        ``failed_attempts`` plays out the timeout→retry→backoff ladder of
-        ``retry_policy`` (default :data:`~repro.sim.collectives.
-        DEFAULT_RETRY_POLICY`) before the successful attempt: each failed
-        attempt occupies the stream for the policy's watchdog timeout and
-        is tagged ``"retry"``, each backoff gap is tagged
-        ``("retry", "backoff")``.  Raises ``ValueError`` if the policy's
-        retry budget cannot absorb that many failures — the caller is
-        expected to model a job abort instead (:mod:`repro.resilience`).
-
-        Returns one event per rank for the **successful** attempt,
-        spanning [join, collective end], so a rank's event duration
-        includes its wait for stragglers.
-        """
-        if failed_attempts < 0:
-            raise ValueError("failed_attempts must be >= 0")
-        if failed_attempts:
-            policy = retry_policy or DEFAULT_RETRY_POLICY
-            if policy.exhausted_by(failed_attempts):
-                raise ValueError(
-                    f"collective {name!r}: {failed_attempts} failed attempts "
-                    f"exceed the retry budget (max_retries="
-                    f"{policy.max_retries}); model an abort instead")
-            for attempt in range(failed_attempts):
-                self._run_collective_once(
-                    ranks, stream, policy.timeout_seconds,
-                    f"{name}#try{attempt}", after, kind,
-                    tags + ("retry",))
-                # Later attempts are gated by stream order alone.
-                after = None
-                backoff = policy.backoff_seconds(attempt)
-                if backoff > 0:
-                    for rank in ranks:
-                        self.run(
-                            rank, stream, backoff, f"{name}#backoff{attempt}",
-                            kind=kind, tags=tags + ("retry", "backoff"))
-        return self._run_collective_once(
-            ranks, stream, duration, name, after, kind, tags)
-
-    def _run_collective_once(
-        self,
-        ranks: Sequence[int],
-        stream: str,
-        duration: float,
-        name: str,
-        after: Optional[Dict[int, Sequence[TraceEvent]]],
-        kind: str,
-        tags: Tuple[str, ...],
-    ) -> Dict[int, TraceEvent]:
-        if not ranks:
-            raise ValueError("collective needs at least one rank")
-        if len(set(ranks)) != len(ranks):
-            raise ValueError(f"duplicate ranks in collective {name!r}")
-        # One batched pass per quantity, instead of the reference's four
-        # per-rank dict-building loops.  The common case — no modifiers,
-        # no deps — reduces to one stream lookup per rank and a single
-        # max() over the join times.
-        states = [self._stream(rank, stream) for rank in ranks]
-        if self._modifiers:
-            modified = [
-                self._modified_duration(rank, stream, kind, name, duration)
-                for rank in ranks
-            ]
-            payload = max(out for out, _ in modified)
-            any_faulted = any(faulted for _, faulted in modified)
-        else:
-            if duration < 0:
-                # Matches the reference path, where the (empty) modifier
-                # chain's output check rejects negative durations.
-                raise ValueError(
-                    f"duration modifier made task {name!r} negative "
-                    f"({duration})")
-            payload = duration
-            any_faulted = False
-
-        if after:
-            empty: Tuple[TraceEvent, ...] = ()
-            join_times = []
-            for rank, st in zip(ranks, states):
-                join = st.free
-                for dep in after.get(rank, empty):
-                    if dep.end > join:
-                        join = dep.end
-                join_times.append(join)
-        else:
-            join_times = [st.free for st in states]
-
-        start = max(join_times)
-        end = start + payload
-        group = tuple(ranks)
-        base_tags = self._tagged(tuple(tags), False) if tags else ()
-        faulted_tags = (self._tagged(tuple(tags), True)
-                        if any_faulted else base_tags)
-        events: Dict[int, TraceEvent] = {}
-        for i, rank in enumerate(ranks):
-            if any_faulted and modified[i][1]:
-                rank_tags = faulted_tags
-            else:
-                rank_tags = base_tags
-            event = TraceEvent(name, kind, rank, stream, join_times[i], end,
-                               group, rank_tags)
-            st = states[i]
-            st.free = end
-            self._commit(st, event)
-            events[rank] = event
-        return events
-
     def record(self, event: TraceEvent) -> None:
         """Append an externally-timed event, advancing its stream.
 
-        Used to splice timelines together (e.g. merging per-phase traces);
-        the event's own start/end are trusted as-is.
+        Used by callers that time events themselves: trace merges, the
+        rank-0 run log, and synchronising collectives; the event's own
+        start/end are trusted as-is.
         """
         if event.end < event.start:
             raise ValueError(f"event {event.name!r} ends before it starts")

@@ -3,9 +3,8 @@
 The fast path in :mod:`repro.sim.engine` promises *bitwise* equivalence
 with the pre-optimisation engine, which is frozen verbatim in
 ``tests/harness/reference_engine.py``.  This module samples random
-submission sequences — ``run`` tasks with dependency fans, synchronising
-collectives with retry ladders, ``record`` splices, and stateful
-duration-modifier chains — replays each sequence
+submission sequences — ``run`` tasks with dependency fans and release
+times, and ``record`` splices — replays each sequence
 through both engines, and diffs every observable: each
 :class:`TraceEvent` field, global and per-rank makespans, per-stream
 busy/idle accounting, and the ``events_for`` views.
@@ -16,8 +15,8 @@ the same sequences in the same order everywhere, so a failure's seed
 plus its shrunk sequence is a complete reproduction recipe.  Failures
 shrink to a minimal diverging submission sequence by dropping whole
 submissions (dependency references onto dropped submissions are patched
-out) and simplifying the survivors (deps, retries, tags stripped one at
-a time).
+out) and simplifying the survivors (deps, then tags, stripped one at a
+time).
 
 The ``engine`` hook mirrors ``fuzz.py``'s ``build`` hook: injecting a
 deliberately corrupted fast engine must make the harness report and
@@ -90,9 +89,8 @@ class SubmitOp:
     """
 
     uid: int
-    op: str  # "run" | "collective" | "record"
+    op: str  # "run" | "record"
     rank: int = 0
-    ranks: Tuple[int, ...] = ()
     stream: str = "compute"
     duration: float = 0.0
     name: str = ""
@@ -100,7 +98,6 @@ class SubmitOp:
     deps: Tuple[int, ...] = ()
     not_before: float = 0.0
     tags: Tuple[str, ...] = ()
-    failed_attempts: int = 0
     start: float = 0.0  # record only
     end: float = 0.0    # record only
 
@@ -110,20 +107,14 @@ class SubmitOp:
                     f"stream={self.stream!r}, duration={self.duration!r}, "
                     f"deps={self.deps}, not_before={self.not_before!r}, "
                     f"tags={self.tags})")
-        if self.op == "collective":
-            return (f"collective(uid={self.uid}, ranks={self.ranks}, "
-                    f"stream={self.stream!r}, duration={self.duration!r}, "
-                    f"deps={self.deps}, "
-                    f"failed_attempts={self.failed_attempts})")
         return (f"record(uid={self.uid}, rank={self.rank}, "
                 f"stream={self.stream!r}, start={self.start!r}, "
                 f"end={self.end!r})")
 
     def to_dict(self) -> dict:
         out = {"uid": self.uid, "op": self.op}
-        for key in ("rank", "ranks", "stream", "duration", "name", "kind",
-                    "deps", "not_before", "tags",
-                    "failed_attempts", "start", "end"):
+        for key in ("rank", "stream", "duration", "name", "kind",
+                    "deps", "not_before", "tags", "start", "end"):
             value = getattr(self, key)
             if value not in ((), 0, 0.0, ""):
                 out[key] = list(value) if isinstance(value, tuple) else value
@@ -132,58 +123,20 @@ class SubmitOp:
 
 @dataclass(frozen=True)
 class EngineFuzzCase:
-    """One sampled submission sequence plus its modifier chain."""
+    """One sampled submission sequence."""
 
     ops: Tuple[SubmitOp, ...]
-    #: Modifier specs, rebuilt as fresh closures per replay so stateful
-    #: modifiers (one-shot) behave identically on both engines.
-    modifiers: Tuple[Tuple[str, int, float], ...] = ()
 
     @property
     def cost(self) -> int:
         """Size measure the shrinker minimises."""
-        return (len(self.ops) + len(self.modifiers)
-                + sum(len(op.deps) + op.failed_attempts
-                      for op in self.ops))
+        return len(self.ops) + sum(len(op.deps) for op in self.ops)
 
     def describe(self) -> str:
-        lines = [f"modifiers: {list(self.modifiers)}"] if self.modifiers \
-            else []
-        lines += [op.describe() for op in self.ops]
-        return "\n".join(lines)
+        return "\n".join(op.describe() for op in self.ops)
 
     def to_dict(self) -> dict:
-        return {
-            "modifiers": [list(m) for m in self.modifiers],
-            "ops": [op.to_dict() for op in self.ops],
-        }
-
-
-def _build_modifier(spec: Tuple[str, int, float]):
-    """A fresh modifier closure from its spec (stateful ones included)."""
-    mod_kind, target_rank, value = spec
-    if mod_kind == "scale":
-        def scale(rank, stream, kind, name, duration):
-            return duration * value if rank == target_rank else duration
-        return scale
-    if mod_kind == "add":
-        def add(rank, stream, kind, name, duration):
-            return duration + value if rank == target_rank else duration
-        return add
-    if mod_kind == "one_shot":
-        state = {"fired": False}
-
-        def one_shot(rank, stream, kind, name, duration):
-            if not state["fired"] and rank == target_rank:
-                state["fired"] = True
-                return duration + value
-            return duration
-        return one_shot
-    if mod_kind == "restore_double":
-        return lambda rank, stream, kind, name, duration: duration * 2.0
-    if mod_kind == "restore_halve":
-        return lambda rank, stream, kind, name, duration: duration * 0.5
-    raise ValueError(f"unknown modifier spec {mod_kind!r}")
+        return {"ops": [op.to_dict() for op in self.ops]}
 
 
 def sample_case(
@@ -211,7 +164,7 @@ def sample_case(
                 replace=False))
         ) if producers else ()
         tags = ("fuzz",) if rng.random() < 0.2 else ()
-        if draw < 0.6:
+        if draw < 0.85:
             ops.append(SubmitOp(
                 uid=uid, op="run", rank=int(rng.integers(0, world)),
                 stream=stream, duration=duration, name=f"op{uid}",
@@ -221,17 +174,6 @@ def sample_case(
                             if rng.random() < 0.2 else 0.0),
                 tags=tags))
             producers.append(uid)
-        elif draw < 0.9:
-            size = int(rng.integers(1, min(world, 5) + 1))
-            ranks = tuple(int(r) for r in rng.choice(
-                world, size=size, replace=False))
-            ops.append(SubmitOp(
-                uid=uid, op="collective", ranks=ranks, stream=stream,
-                duration=duration, name=f"coll{uid}", kind="comm",
-                deps=deps, tags=tags,
-                failed_attempts=(int(rng.integers(1, 3))
-                                 if rng.random() < 0.15 else 0)))
-            producers.append(uid)
         else:
             start = float(rng.random()) * 3.0
             ops.append(SubmitOp(
@@ -239,25 +181,7 @@ def sample_case(
                 stream=stream, name=f"rec{uid}", kind="comm",
                 start=start, end=start + duration, tags=tags))
             producers.append(uid)
-
-    modifiers: List[Tuple[str, int, float]] = []
-    if rng.random() < 0.45:
-        n_mods = int(rng.integers(1, 4))
-        kinds = ("scale", "add", "one_shot", "restore")
-        for _ in range(n_mods):
-            mod_kind = kinds[int(rng.integers(0, len(kinds)))]
-            target = int(rng.integers(0, world))
-            if mod_kind == "restore":
-                # A mutually-cancelling pair: restored durations must
-                # NOT be tagged "faulted" (the `out != duration` rule).
-                modifiers.append(("restore_double", 0, 0.0))
-                modifiers.append(("restore_halve", 0, 0.0))
-            elif mod_kind == "scale":
-                modifiers.append((mod_kind, target,
-                                  float(rng.choice([0.5, 1.0, 1.5, 2.0]))))
-            else:
-                modifiers.append((mod_kind, target, float(rng.random())))
-    return EngineFuzzCase(ops=tuple(ops), modifiers=tuple(modifiers))
+    return EngineFuzzCase(ops=tuple(ops))
 
 
 # ----------------------------------------------------------------------
@@ -285,41 +209,18 @@ def replay_case(case: EngineFuzzCase, sim) -> Tuple[str, ...]:
     divergence.  Submissions that raised produce no events and are
     skipped as dependency producers.
     """
-    for spec in case.modifiers:
-        sim.add_duration_modifier(_build_modifier(spec))
     events_by_uid: Dict[int, object] = {}
     log: List[str] = []
-
-    def resolve(handle, rank):
-        """A dependency event for ``rank``: collectives resolve to their
-        event on that rank when it participated, else any fixed one."""
-        if isinstance(handle, dict):
-            return handle[rank] if rank in handle \
-                else next(iter(handle.values()))
-        return handle
-
     for op in case.ops:
         try:
             if op.op == "run":
-                after = [resolve(events_by_uid[u], op.rank)
-                         for u in op.deps if u in events_by_uid]
+                after = [events_by_uid[u] for u in op.deps
+                         if u in events_by_uid]
                 event = sim.run(
                     rank=op.rank, stream=op.stream, duration=op.duration,
                     name=op.name, kind=op.kind, after=after or None,
                     not_before=op.not_before, tags=op.tags)
                 events_by_uid[op.uid] = event
-            elif op.op == "collective":
-                after = {}
-                for rank in op.ranks:
-                    deps = [resolve(events_by_uid[u], rank)
-                            for u in op.deps if u in events_by_uid]
-                    if deps:
-                        after[rank] = deps
-                result = sim.run_collective(
-                    list(op.ranks), op.stream, op.duration, op.name,
-                    after=after or None, kind=op.kind, tags=op.tags,
-                    failed_attempts=op.failed_attempts)
-                events_by_uid[op.uid] = result
             else:  # record
                 # Splice with the engine's own event class (the
                 # reference's dataclass vs the fast slotted record).
@@ -438,21 +339,15 @@ def _drop_uid(ops: Sequence[SubmitOp], uid: int) -> Tuple[SubmitOp, ...]:
 
 def case_neighbours(case: EngineFuzzCase) -> List[EngineFuzzCase]:
     """Strictly-smaller neighbours, biggest reduction first: whole
-    submissions dropped (dependency references patched out), modifiers
-    dropped, then one simplification (deps, retries, tags) per
-    submission."""
+    submissions dropped (dependency references patched out), then one
+    simplification (deps, then tags) per submission."""
     out: List[EngineFuzzCase] = []
     for op in case.ops:
         out.append(replace(case, ops=_drop_uid(case.ops, op.uid)))
-    for i in range(len(case.modifiers)):
-        out.append(replace(case, modifiers=(
-            case.modifiers[:i] + case.modifiers[i + 1:])))
     for i, op in enumerate(case.ops):
         simplified = None
         if op.deps:
             simplified = replace(op, deps=())
-        elif op.failed_attempts:
-            simplified = replace(op, failed_attempts=0)
         elif op.tags:
             simplified = replace(op, tags=())
         if simplified is not None:

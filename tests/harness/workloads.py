@@ -1,10 +1,10 @@
 """Seeded differential workloads: every engine consumer, in miniature.
 
 Each workload is a function ``fn(sim) -> None`` that drives an engine
-exclusively through its public API — ``run``, ``run_collective``,
-``record``, ``add_duration_modifier`` — either directly or
-through one of the real consumers (the step-graph executor, the fault
-workload, the resilience run simulator).  The differential tests run
+exclusively through its public API — ``run``, ``record`` and ``now`` —
+either directly or through one of the real consumers (the step-graph
+executor, the fault workload and its ``join_collective``, the
+resilience run log).  The differential tests run
 each workload once against the frozen reference engine and once against
 the fast engine and diff every observable (see
 :mod:`tests.harness.diffing`).
@@ -22,9 +22,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Tuple
 
-from repro.debug.workload import WorkloadSpec, run_synthetic_workload
+from repro.debug.workload import (
+    WorkloadSpec,
+    join_collective,
+    run_synthetic_workload,
+)
 from repro.faults.inject import apply_fault_plan
-from repro.faults.models import ComputeStraggler, DegradedLink, FaultPlan
+from repro.faults.models import (
+    ComputeStraggler,
+    DegradedLink,
+    FaultPlan,
+    perturb_duration,
+)
 from repro.hardware.cluster import grand_teton
 from repro.model.config import LLAMA3_8B
 from repro.parallel.config import JobConfig, ParallelConfig, ZeroStage
@@ -32,7 +41,13 @@ from repro.parallel.mesh import DeviceMesh
 from repro.pp.layout import build_layout
 from repro.pp.schedule import ScheduleShape, build_flexible_schedule
 from repro.pp.zoo import build_zero_bubble_schedule
-from repro.resilience import NoCheckpoint, RunConfig, YoungDaly, simulate_run
+from repro.resilience import (
+    FailureTaxonomy,
+    NoCheckpoint,
+    RunConfig,
+    YoungDaly,
+    simulate_run,
+)
 from repro.sim.collectives import RetryPolicy
 from repro.train.cost import StageCost
 from repro.train.executor import execute_graph
@@ -125,7 +140,7 @@ _SPEC = WorkloadSpec(steps=2, layers=3)
 
 
 def wl_fault_plan(sim) -> None:
-    """Synthetic workload under a declarative fault plan (modifiers)."""
+    """Synthetic workload under a declarative fault plan."""
     run_synthetic_workload(
         _MESH_8, _SPEC, sim=sim,
         faults=FaultPlan((
@@ -146,7 +161,9 @@ def wl_slowdown(sim) -> None:
 
 
 def wl_modifier_chains(sim) -> None:
-    """Stateful and mutually-cancelling modifier chains.
+    """Stateful and mutually-cancelling modifier chains, applied with
+    ``perturb_duration`` before submission (as the synthetic workload
+    does).
 
     The doubling+halving pair restores the original duration bitwise
     (``(d * 2.0) * 0.5 == d`` for normal floats), pinning the
@@ -162,43 +179,35 @@ def wl_modifier_chains(sim) -> None:
             return duration + 1.5
         return duration
 
-    sim.add_duration_modifier(one_shot)
-    sim.add_duration_modifier(lambda r, s, k, n, d: d * 2.0)
-    sim.add_duration_modifier(lambda r, s, k, n, d: d * 0.5)
+    chain = [one_shot, lambda r, s, k, n, d: d * 2.0,
+             lambda r, s, k, n, d: d * 0.5]
+
+    def run(rank: int, duration: float, name: str) -> None:
+        out, _ = perturb_duration(chain, rank, "compute", "compute", name,
+                                  duration)
+        sim.run(rank, "compute", out, name,
+                tags=("faulted",) if out != duration else ())
+
     for rank in range(4):
-        sim.run(rank, "compute", 0.3, "warm")
-    sim.run(2, "compute", 0.2, "victim")
-    sim.run(2, "compute", 0.2, "victim")  # one-shot already consumed
-    sim.run_collective([0, 1, 2, 3], "comm", 0.1, "allreduce")
+        run(rank, 0.3, "warm")
+    run(2, 0.2, "victim")
+    run(2, 0.2, "victim")  # one-shot already consumed
+    join_collective(sim, [0, 1, 2, 3], "comm", 0.1, "allreduce", chain)
 
 
 # ----------------------------------------------------------------------
-# Retry ladders and collective edge shapes
+# Collective edge shapes
 # ----------------------------------------------------------------------
-
-def wl_retry_ladders(sim) -> None:
-    """Collective timeout→retry→backoff ladders, default + custom policy."""
-    a = sim.run(0, "compute", 0.5, "fwd")
-    sim.run_collective([0, 1, 2, 3], "comm", 0.2, "ar0",
-                       after={0: [a]}, failed_attempts=1)
-    policy = RetryPolicy(max_retries=4, timeout_seconds=2.0,
-                         backoff_base_seconds=0.25, backoff_multiplier=3.0)
-    sim.run_collective([0, 1], "comm", 0.1, "ar1", failed_attempts=3,
-                       retry_policy=policy, tags=("grad",))
-    late = sim.run(2, "compute", 0.05, "late")
-    sim.run_collective([2, 3], "comm", 0.1, "ar2",
-                       after={2: [late]}, failed_attempts=2)
-
 
 def wl_skewed_collectives(sim) -> None:
-    """Deps (skewed join times), tags, and single-rank collectives
-    interleaved."""
-    deps = {r: [sim.run(r, "compute", 0.1 * (r + 1), f"fwd{r}")]
+    """Skewed join times, single-rank collectives and unsorted groups,
+    interleaved with dependent tasks."""
+    deps = {r: [sim.run(r, "comm", 0.1 * (r + 1), f"fwd{r}",
+                        tags=("fsdp",))]
             for r in range(4)}
-    sim.run_collective([0, 1, 2, 3], "comm", 0.3, "ag",
-                       after=deps, tags=("fsdp",))
-    sim.run_collective([2], "comm", 0.2, "solo")
-    sim.run_collective([3, 0], "comm", 0.15, "pair")  # unsorted ranks
+    join_collective(sim, [0, 1, 2, 3], "comm", 0.3, "ag")
+    join_collective(sim, [2], "comm", 0.2, "solo")
+    join_collective(sim, [3, 0], "comm", 0.15, "pair")  # unsorted ranks
     for r in range(4):
         sim.run(r, "compute", 0.05, "tail", after=[deps[r][0]])
 
@@ -225,22 +234,40 @@ def wl_record_splices(sim) -> None:
 # Resilience runs (multi-step, retries, aborts, markers)
 # ----------------------------------------------------------------------
 
+def _replay_run_log(sim, config: RunConfig) -> None:
+    """Record a run's rank-0 log (built with ``record`` by
+    :func:`repro.resilience.simulate_run`) into ``sim``, entry by entry."""
+    result = simulate_run(
+        LLAMA3_8B, JobConfig(seq=8192, gbs=32, ngpu=32), grand_teton(32),
+        config)
+    for event in result.sim.events:
+        sim.record(event)
+
+
 def wl_resilience_run(sim) -> None:
     """Multi-step resilience run: failure markers, retry ladders,
     checkpoint/restart segments recorded into one timeline."""
-    simulate_run(
-        LLAMA3_8B, JobConfig(seq=8192, gbs=32, ngpu=32), grand_teton(32),
-        RunConfig(steps=25, mtbf_seconds=150.0, seed=11, elastic=False,
-                  replacement_seconds=300.0, policy=YoungDaly()),
-        sim=sim)
+    _replay_run_log(sim, RunConfig(
+        steps=25, mtbf_seconds=150.0, seed=11, elastic=False,
+        replacement_seconds=300.0, policy=YoungDaly()))
+
+
+def wl_retry_ladders(sim) -> None:
+    """A run whose every failure is a collective retry: timeout and
+    backoff ladders on the ``dp`` stream, plus exhausted-budget aborts."""
+    _replay_run_log(sim, RunConfig(
+        steps=60, mtbf_seconds=15.0, seed=5, policy=NoCheckpoint(),
+        taxonomy=FailureTaxonomy(node_loss_fraction=0.0, retry_fraction=1.0,
+                                 retry_success_p=0.5),
+        retry_policy=RetryPolicy(max_retries=4, timeout_seconds=2.0,
+                                 backoff_base_seconds=0.25,
+                                 backoff_multiplier=3.0)))
 
 
 def wl_resilience_no_checkpoint(sim) -> None:
-    simulate_run(
-        LLAMA3_8B, JobConfig(seq=8192, gbs=32, ngpu=32), grand_teton(32),
-        RunConfig(steps=15, mtbf_seconds=120.0, seed=3, elastic=True,
-                  policy=NoCheckpoint(), max_step_attempts=80),
-        sim=sim)
+    _replay_run_log(sim, RunConfig(
+        steps=15, mtbf_seconds=120.0, seed=3, elastic=True,
+        policy=NoCheckpoint(), max_step_attempts=80))
 
 
 # ----------------------------------------------------------------------
@@ -253,19 +280,19 @@ def wl_dp_replicas(sim) -> None:
     Each replica runs three compute/collective rounds with several
     disjoint collective groups per round, then one zero-length task —
     the submission shape of a data-parallel step replayed replica by
-    replica.
+    replica.  A zero-length ``ready`` task carries each rank's compute
+    dependency onto the ``tp`` stream the collectives join on.
     """
     for offset in range(0, 32, 4):
         ranks = [offset + r for r in range(4)]
-        prev = {}
         for step in range(3):
             for r in ranks:
-                prev[r] = sim.run(r, "compute", 0.2 + 0.01 * (r - offset),
-                                  f"fwd:s{step}")
-            sim.run_collective(ranks, "tp", 0.05, f"ag:s{step}",
-                               after={r: [prev[r]] for r in ranks})
-            sim.run_collective(ranks[:2], "tp", 0.03, f"rs_a:s{step}")
-            sim.run_collective(ranks[2:], "tp", 0.03, f"rs_b:s{step}")
+                fwd = sim.run(r, "compute", 0.2 + 0.01 * (r - offset),
+                              f"fwd:s{step}")
+                sim.run(r, "tp", 0.0, f"ready:s{step}", after=[fwd])
+            join_collective(sim, ranks, "tp", 0.05, f"ag:s{step}")
+            join_collective(sim, ranks[:2], "tp", 0.03, f"rs_a:s{step}")
+            join_collective(sim, ranks[2:], "tp", 0.03, f"rs_b:s{step}")
         sim.run(ranks[1], "compute", 0.0, "zero")
 
 

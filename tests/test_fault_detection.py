@@ -15,7 +15,7 @@ from repro.debug.workload import WorkloadSpec, run_synthetic_workload
 from repro.faults import ComputeStraggler, FaultPlan, score_detection
 from repro.parallel.config import ParallelConfig
 from repro.parallel.mesh import DeviceMesh
-from repro.sim.engine import Simulator
+from repro.sim.engine import Simulator, TraceEvent
 
 #: Small meshes exercising every dimension as the discriminating level.
 MATRIX_MESHES = ((4, 2, 1, 1), (2, 2, 2, 1), (2, 1, 2, 2))
@@ -81,6 +81,15 @@ class TestLastStageWrapRegression:
                 f"PP hand-off {e.name!r} spans stages {stages}")
 
 
+def _join_after(sim, done, duration, name, kind="comm"):
+    """A ``tp`` collective each rank joins when its ``done`` event ends;
+    the payload starts once the last rank has joined."""
+    end = max(e.end for e in done.values()) + duration
+    group = tuple(done)
+    for rank, e in done.items():
+        sim.record(TraceEvent(name, kind, rank, "tp", e.end, end, group))
+
+
 class TestEvenFleetMedianRegression:
     """Attribution used the upper-middle element as the even-fleet
     median; a straggler whose own compute lands in the upper half then
@@ -94,9 +103,7 @@ class TestEvenFleetMedianRegression:
             rank: sim.run(rank, "compute", seconds, f"gemm:{rank}")
             for rank, seconds in enumerate(compute_seconds)
         }
-        sim.run_collective(
-            list(done), "tp", 0.1, "tp:ag",
-            after={rank: [e] for rank, e in done.items()})
+        _join_after(sim, done, 0.1, "tp:ag")
         return sim
 
     def test_upper_half_straggler_still_compute_bound(self):
@@ -122,9 +129,7 @@ class TestEvenFleetMedianRegression:
             rank: sim.run(rank, "compute", seconds, f"gemm:{rank}")
             for rank, seconds in enumerate([1.0, 1.0, 1.0, 1.6])
         }
-        sim.run_collective(
-            list(done), "tp", 0.1, "tp:ag", kind="exposed_comm",
-            after={rank: [e] for rank, e in done.items()})
+        _join_after(sim, done, 0.1, "tp:ag", kind="exposed_comm")
         rep = identify_slow_rank(sim, self.MESH)
         assert rep.slow_rank == 3
         assert rep.attribution == "compute"

@@ -1,7 +1,7 @@
 """Fault models, both injection paths, goodput, and the golden report.
 
-Covers the `repro.faults` subsystem end to end: simulator duration
-modifiers (including collective max-semantics and "faulted" tagging),
+Covers the `repro.faults` subsystem end to end: the duration-modifier
+chain (including collective max-semantics and "faulted" tagging),
 the declarative fault models and their CLI spec parser, injection into
 the synthetic workload and into the lowered step graph, the goodput
 comparison, and a byte-stable golden for ``repro faults --json``.
@@ -31,6 +31,8 @@ from repro.faults import (
     parse_fault_spec,
     run_goodput,
 )
+from repro.debug.workload import join_collective
+from repro.faults.models import perturb_duration
 from repro.sim.collectives import DEFAULT_COLLECTIVE_TIMEOUT_SECONDS
 from repro.hardware.cluster import grand_teton
 from repro.model.config import LLAMA3_8B
@@ -51,45 +53,53 @@ FAULT_PATHS_GOLDEN = Path(__file__).parent / "golden" / "fault_paths.json"
 MESH_8 = DeviceMesh(ParallelConfig(tp=4, cp=2))
 
 
+def _on_rank(target, fn):
+    """A modifier applying ``fn`` to ``target``'s durations only."""
+    return lambda rank, stream, kind, name, d: fn(d) if rank == target else d
+
+
 class TestDurationModifiers:
+    """The modifier chain (``perturb_duration``) and how the synthetic
+    workload's collectives (``join_collective``) apply it."""
+
     def test_modifier_stretches_matching_run(self):
-        sim = Simulator()
-        sim.add_duration_modifier(
-            lambda rank, stream, kind, name, d: d + 1.0 if rank == 1 else d)
-        a = sim.run(0, "compute", 1.0, "op")
-        b = sim.run(1, "compute", 1.0, "op")
-        assert a.duration == 1.0 and b.duration == 2.0
+        slow_1 = _on_rank(1, lambda d: d + 1.0)
+        assert perturb_duration([slow_1], 0, "compute", "compute", "op",
+                                1.0) == (1.0, ())
+        assert perturb_duration([slow_1], 1, "compute", "compute", "op",
+                                1.0) == (2.0, (0,))
 
     def test_faulted_tag_only_on_changed_events(self):
+        double_1 = _on_rank(1, lambda d: d * 2)
         sim = Simulator()
-        sim.add_duration_modifier(
-            lambda rank, stream, kind, name, d: d * 2 if rank == 1 else d)
-        a = sim.run(0, "compute", 1.0, "op")
-        b = sim.run(1, "compute", 1.0, "op")
-        assert a.tags == () and b.tags == ("faulted",)
+        sim.run(0, "compute", 1.0, "w0")
+        sim.run(1, "compute", 1.0, "w1")
+        events = join_collective(sim, [0, 1], "compute", 1.0, "op",
+                                 [double_1])
+        assert events[0].tags == () and events[1].tags == ("faulted",)
 
     def test_modifiers_chain_in_registration_order(self):
-        sim = Simulator()
-        sim.add_duration_modifier(lambda r, s, k, n, d: d + 1.0)
-        sim.add_duration_modifier(lambda r, s, k, n, d: d * 2.0)
-        assert sim.run(0, "compute", 1.0, "op").duration == 4.0
+        chain = [lambda r, s, k, n, d: d + 1.0,
+                 lambda r, s, k, n, d: d * 2.0]
+        assert perturb_duration(chain, 0, "compute", "compute", "op",
+                                1.0) == (4.0, (0, 1))
+        assert perturb_duration(chain[::-1], 0, "compute", "compute", "op",
+                                1.0) == (3.0, (0, 1))
 
     def test_collective_takes_max_of_modified_durations(self):
         """One degraded participant slows the whole collective; only the
         perturbed rank is tagged."""
         sim = Simulator()
-        sim.add_duration_modifier(
-            lambda rank, stream, kind, name, d: d * 3 if rank == 1 else d)
-        events = sim.run_collective([0, 1, 2], "compute", 0.5, "tp:ag")
-        assert all(e.end == 1.5 for e in events.values())
+        events = join_collective(sim, [0, 1, 2], "compute", 0.5, "tp:ag",
+                                 [_on_rank(1, lambda d: d * 3)])
+        assert all(e.end == 1.5 for e in events)
         assert events[1].tags == ("faulted",)
         assert events[0].tags == () and events[2].tags == ()
 
     def test_negative_modified_duration_rejected(self):
-        sim = Simulator()
-        sim.add_duration_modifier(lambda r, s, k, n, d: d - 5.0)
         with pytest.raises(ValueError, match="negative"):
-            sim.run(0, "compute", 1.0, "op")
+            perturb_duration([lambda r, s, k, n, d: d - 5.0], 0, "compute",
+                             "compute", "op", 1.0)
 
     def test_explicit_tags_pass_through(self):
         sim = Simulator()

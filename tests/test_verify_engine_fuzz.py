@@ -74,7 +74,7 @@ class TestCampaign:
                 producers = {p.uid for p in case.ops[:i]}
                 assert set(op.deps) <= producers
             assert not check_case(case, reference_cls)
-        assert ops_seen == {"run", "collective", "record"}
+        assert ops_seen == {"run", "record"}
 
 
 class TestCorruptedEngine:
