@@ -11,13 +11,12 @@ Two scaling claims behind the trace analytics subsystem:
    with the exact-tiling invariant intact.
 
 Besides the human-readable results file, this module writes
-``benchmarks/results/BENCH_analysis.json`` (events/sec, peak RSS) for
+``benchmarks/results/BENCH_analysis.json`` (events/sec, peak heap) for
 the CI ``analysis-smoke`` job to upload as an artifact.
 """
 
 import json
 import pathlib
-import resource
 import time
 import tracemalloc
 
@@ -62,14 +61,12 @@ def test_million_event_ingest_bounded_memory(report):
     tracemalloc.stop()
 
     rate = N_EVENTS / elapsed
-    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     _BENCH["streaming_ingest"] = {
         "n_events": N_EVENTS,
         "events_per_second": round(rate),
         "elapsed_seconds": round(elapsed, 3),
         "tracemalloc_peak_bytes": peak,
         "peak_budget_bytes": PEAK_BUDGET_BYTES,
-        "ru_maxrss_mb": round(rss_mb, 1),
     }
 
     report.line("Streaming ingestion: 1M-event synthetic trace")

@@ -31,7 +31,6 @@ from repro.cp.backward import (
     emulated_order_backward,
     rank_partials,
 )
-from repro.cp.ring_schedule import RingTimeline, simulate_ring_attention
 from repro.cp.imbalance import (
     FleetImbalanceReport,
     simulate_fleet_imbalance,
@@ -61,8 +60,6 @@ __all__ = [
     "allgather_cp_attention_backward",
     "emulated_order_backward",
     "rank_partials",
-    "RingTimeline",
-    "simulate_ring_attention",
     "FleetImbalanceReport",
     "simulate_fleet_imbalance",
 ]

@@ -18,7 +18,6 @@ from repro.faults.models import (
     HotExpert,
     HungRank,
     PeriodicJitter,
-    fault_from_dict,
     fault_preset,
     parse_fault_spec,
 )
@@ -33,7 +32,6 @@ from repro.faults.goodput import (
 
 __all__ = [
     "FAULT_PRESETS",
-    "fault_from_dict",
     "fault_preset",
     "CollectiveRetry",
     "ComputeStraggler",

@@ -39,14 +39,13 @@ model instance can drive many runs without sharing state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
     FrozenSet,
     Iterator,
-    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -419,13 +418,6 @@ class HotExpert:
         """Realised slowdown: the routed load, clipped at capacity."""
         return min(self.imbalance, self.capacity_factor)
 
-    def dropped_fraction(self, n_experts: int) -> float:
-        """Token-drop fraction this skew causes at ``n_experts`` experts
-        (the :class:`repro.train.step.StepReport` accounting)."""
-        from repro.train.moe import dropped_token_fraction
-        return dropped_token_fraction(
-            n_experts, self.capacity_factor, self.imbalance)
-
     def affected_ranks(self, mesh: "DeviceMesh") -> Optional[FrozenSet[int]]:
         return frozenset({self.rank})
 
@@ -611,30 +603,6 @@ def parse_fault_spec(spec: str):
         return cls(**kwargs)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"invalid fault spec {spec!r}: {err}") from None
-
-
-#: ``kind`` label (as emitted by ``to_dict``) -> fault class.
-_KIND_LABELS = {cls.kind_label: cls for cls, _ in _SPEC_TYPES.values()}
-
-
-def fault_from_dict(data: Mapping):
-    """Rebuild a fault model from its ``to_dict()`` form.
-
-    The inverse of each model's ``to_dict``: derived keys (e.g.
-    ``HungRank``'s ``stall_seconds``) are ignored, so any serialised
-    fault round-trips to an equal instance.  Raises ``ValueError`` on an
-    unknown ``kind``.
-    """
-    kind = data.get("kind")
-    cls = _KIND_LABELS.get(kind)
-    if cls is None:
-        raise ValueError(
-            f"unknown fault kind {kind!r}; choose from {sorted(_KIND_LABELS)}")
-    kwargs = {f.name: data[f.name] for f in fields(cls) if f.name in data}
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as err:
-        raise ValueError(f"invalid fault dict {dict(data)!r}: {err}") from None
 
 
 def _straggler_default(world_size: int) -> FaultPlan:

@@ -3,7 +3,7 @@
 This package models the fixed characteristics of the training hardware the
 paper used (H100 GPUs in Grand Teton nodes, NVLink intra-node, RoCE
 inter-node) as plain data objects plus a small number of derived quantities
-(roofline-attainable FLOPs, effective bandwidth at a message size).  The
+(roofline GEMM time, effective bandwidth at a message size).  The
 discrete-event simulator in :mod:`repro.sim` consumes these specs; nothing
 here depends on the rest of the library.
 """
@@ -16,7 +16,6 @@ from repro.hardware.gpu import (
     B200,
     gemm_time,
     gemm_efficiency,
-    attainable_tflops,
 )
 from repro.hardware.network import (
     LinkSpec,
@@ -50,7 +49,6 @@ __all__ = [
     "B200",
     "gemm_time",
     "gemm_efficiency",
-    "attainable_tflops",
     "LinkSpec",
     "NVLINK_H100",
     "ROCE_400G",

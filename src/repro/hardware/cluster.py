@@ -83,16 +83,6 @@ class ClusterSpec:
         """Total GPUs in the cluster."""
         return self.gpus_per_node * self.num_nodes
 
-    @property
-    def num_racks(self) -> int:
-        """Racks in the cluster (the last one may be partially filled)."""
-        return -(-self.num_nodes // self.nodes_per_rack)
-
-    @property
-    def num_pods(self) -> int:
-        """Pods in the cluster (the last one may be partially filled)."""
-        return -(-self.num_racks // self.racks_per_pod)
-
     def node_of(self, rank: int) -> int:
         """Node index hosting a global rank."""
         self._check_rank(rank)
@@ -106,20 +96,6 @@ class ClusterSpec:
     def pod_of(self, node: int) -> int:
         """Pod index hosting a node (the spine failure domain)."""
         return self.rack_of(node) // self.racks_per_pod
-
-    def nodes_in_rack(self, rack: int) -> int:
-        """Nodes actually installed in a rack (the tail rack is ragged)."""
-        if not 0 <= rack < self.num_racks:
-            raise ValueError(
-                f"rack {rack} out of range for cluster of "
-                f"{self.num_racks} racks")
-        first = rack * self.nodes_per_rack
-        return min(self.nodes_per_rack, self.num_nodes - first)
-
-    def local_rank(self, rank: int) -> int:
-        """Slot index of a global rank within its node."""
-        self._check_rank(rank)
-        return rank % self.gpus_per_node
 
     def link_between(self, rank_a: int, rank_b: int) -> LinkSpec:
         """Link class connecting two global ranks."""

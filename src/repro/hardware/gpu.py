@@ -124,15 +124,6 @@ def gemm_efficiency(m: int, n: int, k: int) -> float:
     return saturation * shape_factor
 
 
-def attainable_tflops(gpu: GpuSpec, flops: float, bytes_moved: float) -> float:
-    """Roofline-attainable TFLOP/s for an op with the given traffic."""
-    if flops <= 0:
-        raise ValueError("flops must be positive")
-    compute_time = flops / gpu.peak_flops
-    memory_time = bytes_moved / gpu.hbm_bandwidth
-    return flops / max(compute_time, memory_time) / 1e12
-
-
 def gemm_time(
     gpu: GpuSpec,
     m: int,

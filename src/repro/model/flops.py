@@ -16,7 +16,7 @@ Conventions:
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.model.config import (
     MultimodalConfig,
@@ -73,30 +73,6 @@ def model_params(cfg: TextModelConfig) -> int:
     )
 
 
-def vision_layer_params(cfg: VisionEncoderConfig) -> int:
-    """Parameters in one ViT layer (MHA + 2-matrix MLP + norms)."""
-    d, f = cfg.dim, cfg.ffn_hidden
-    return 4 * d * d + 2 * d * f + 2 * d
-
-
-def vision_model_params(cfg: VisionEncoderConfig) -> int:
-    """Total ViT parameters including the patch-embedding projection."""
-    patch_embed = 3 * cfg.patch_size**2 * cfg.dim
-    return cfg.n_layers * vision_layer_params(cfg) + patch_embed
-
-
-def cross_attention_layer_params(cfg: MultimodalConfig) -> int:
-    """Parameters in one cross-attention layer.
-
-    Query projection from the text stream; K/V projections take the image
-    encoder output (projected to the text dim); same FFN as a text layer.
-    """
-    d, f = cfg.text.dim, cfg.text.ffn_hidden
-    attn = d * d + 2 * d * cfg.text.kv_dim + d * d
-    ffn = 3 * d * f
-    return attn + ffn + 2 * d
-
-
 # ---------------------------------------------------------------------------
 # Mask fractions
 # ---------------------------------------------------------------------------
@@ -106,19 +82,6 @@ def causal_mask_fraction(seq: int) -> float:
     if seq <= 0:
         raise ValueError("seq must be positive")
     return (seq + 1) / (2.0 * seq)
-
-
-def document_mask_fraction(doc_lens: Sequence[int]) -> float:
-    """Fraction of the score matrix under a document (block-causal) mask.
-
-    Tokens attend causally within their own document only, so the computed
-    area is the sum of per-document causal triangles over the full square.
-    """
-    if not doc_lens or any(l <= 0 for l in doc_lens):
-        raise ValueError("doc_lens must be a non-empty list of positive ints")
-    seq = sum(doc_lens)
-    area = sum(l * (l + 1) / 2.0 for l in doc_lens)
-    return area / float(seq * seq)
 
 
 # ---------------------------------------------------------------------------

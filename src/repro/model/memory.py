@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from repro.model.config import TextModelConfig
 from repro.model.flops import (
     embedding_params,
-    layer_params,
     model_params,
     output_head_params,
 )
@@ -83,24 +82,6 @@ def activation_bytes_per_layer(
     )
 
 
-def layer_param_bytes(
-    cfg: TextModelConfig, tp: int = 1, dtype_bytes: int = BF16_BYTES
-) -> float:
-    """Bytes of one layer's weights on one TP rank."""
-    return dtype_bytes * layer_params(cfg) / tp
-
-
-def layer_grad_bytes(
-    cfg: TextModelConfig, tp: int = 1, dtype_bytes: int = FP32_BYTES
-) -> float:
-    """Bytes of one layer's unsharded gradient buffer on one TP rank.
-
-    FP32 by default: the paper accumulates gradients in FP32 across PP
-    micro-batches (Section 6.2).
-    """
-    return dtype_bytes * layer_params(cfg) / tp
-
-
 def embedding_bytes(
     cfg: TextModelConfig, tp: int = 1, dtype_bytes: int = BF16_BYTES
 ) -> float:
@@ -118,11 +99,6 @@ def output_head_bytes(
 def optimizer_state_bytes_per_param() -> int:
     """Adam with an FP32 master copy: master + exp_avg + exp_avg_sq."""
     return 3 * FP32_BYTES
-
-
-def full_model_bytes(cfg: TextModelConfig, dtype_bytes: int = BF16_BYTES) -> float:
-    """Bytes of the whole unsharded model in the given dtype."""
-    return dtype_bytes * model_params(cfg)
 
 
 def training_state_bytes(cfg: TextModelConfig) -> float:

@@ -12,7 +12,7 @@ package turns both into inspectable artifacts:
   debugger report into, with aggregation across (dp, pp, cp, tp) mesh
   group indices.
 * :mod:`repro.obs.report` — stable-schema JSON renderings of planner,
-  step, phase, imbalance, and slow-rank results (the ``--json`` CLI
+  step, phase, imbalance, fault and run results (the ``--json`` CLI
   surface and the hook point for regression tracking).
 
 The report layer depends on :mod:`repro.train`, which itself reports into
@@ -45,7 +45,6 @@ _REPORT_NAMES = (
     "step_group_metrics",
     "phases_report",
     "imbalance_report",
-    "slow_rank_report",
     "resilience_report",
     "render_json",
 )

@@ -274,18 +274,6 @@ class MetricsRegistry:
             buckets.setdefault(idx, []).append(value)
         return {idx: reducer(vals) for idx, vals in sorted(buckets.items())}
 
-    def mesh_aggregates(
-        self,
-        name: str,
-        mesh: DeviceMesh,
-        reduce: str = "sum",
-    ) -> Dict[str, Dict[int, float]]:
-        """``aggregate_by_coord`` over all four dims at once."""
-        return {
-            dim: self.aggregate_by_coord(name, mesh, dim, reduce)
-            for dim in DIM_ORDER
-        }
-
 
 def record_simulator_metrics(
     sim: Simulator,

@@ -27,7 +27,6 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
 import numpy as np
 
 from repro.cp.imbalance import FleetImbalanceReport
-from repro.debug.trace_analysis import SlowRankReport
 from repro.obs.metrics import (
     MetricsRegistry,
     pp_rank_map,
@@ -199,28 +198,6 @@ def imbalance_report(rep: FleetImbalanceReport) -> dict:
         "compute_seconds": _array_summary(rep.compute_seconds),
         "exposed_cp_seconds": _array_summary(rep.exposed_cp_seconds),
         "wait_seconds": _array_summary(rep.wait_seconds),
-    }
-
-
-def slow_rank_report(rep: SlowRankReport) -> dict:
-    """The Section 6.1 top-down search outcome, decisions as structured
-    events (one per narrowing level, in search order)."""
-    return {
-        "schema": _schema("slow_rank"),
-        "slow_rank": rep.slow_rank,
-        "attribution": rep.attribution,
-        "compute_excess_seconds": rep.compute_excess_seconds,
-        "decisions": [
-            {
-                "event": "slow_rank.decision",
-                "dim": d.dim,
-                "chosen_index": d.chosen_index,
-                "blame_seconds": d.blame_seconds,
-                "candidates_before": d.candidates_before,
-                "candidates_after": d.candidates_after,
-            }
-            for d in rep.decisions
-        ],
     }
 
 

@@ -67,11 +67,6 @@ class ParallelConfig:
         return self.tp * self.cp * self.ep * self.pp * self.dp
 
     @property
-    def model_parallel_size(self) -> int:
-        """GPUs holding one model replica's parameters (TP x EP x PP)."""
-        return self.tp * self.ep * self.pp
-
-    @property
     def ndp(self) -> int:
         """Number of data-parallel groups (= dp)."""
         return self.dp

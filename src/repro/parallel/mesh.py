@@ -154,24 +154,6 @@ class DeviceMesh:
             for cp_offset in range(0, p.cp * p.tp, p.tp)
         ]
 
-    def pp_stage_ranks(self, pp_idx: int) -> List[int]:
-        """All global ranks at one pipeline stage.
-
-        Constructed arithmetically from the decomposition formula: for a
-        fixed (dp, pp) the inner tp*cp*ep block is contiguous, so the
-        stage is ``dp`` contiguous runs — O(result) instead of the old
-        O(world_size) coord_of scan per query.
-        """
-        p = self.parallel
-        if not 0 <= pp_idx < p.pp:
-            raise ValueError(f"pp index {pp_idx} out of range")
-        inner = p.tp * p.cp * p.ep
-        return [
-            (dp_idx * p.pp + pp_idx) * inner + i
-            for dp_idx in range(p.dp)
-            for i in range(inner)
-        ]
-
     def pp_neighbor(self, rank: int, direction: int) -> int:
         """Rank holding the next (+1) or previous (-1) pipeline stage for
         the same (tp, cp, ep, dp) coordinates, wrapping at the ends."""

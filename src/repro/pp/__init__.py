@@ -30,7 +30,6 @@ from repro.pp.registry import (
     schedule_kinds,
 )
 from repro.pp.heterogeneity import (
-    microbatch_scale_from_lengths,
     mixed_fleet_preset,
     mixed_gpu_stage_scale,
     stage_profile,
@@ -50,7 +49,6 @@ __all__ = [
     "schedule_entries",
     "schedule_entry",
     "schedule_kinds",
-    "microbatch_scale_from_lengths",
     "mixed_fleet_preset",
     "mixed_gpu_stage_scale",
     "stage_profile",

@@ -61,10 +61,6 @@ class MemoryTimeline:
         return max((s.grad_bytes for s in self.samples), default=0.0)
 
     @property
-    def peak_activation_bytes(self) -> float:
-        return max((s.activation_bytes for s in self.samples), default=0.0)
-
-    @property
     def peak_total_bytes(self) -> float:
         return max((s.total for s in self.samples), default=0.0)
 

@@ -12,22 +12,13 @@ module builds them from the two scenarios ROADMAP item 4 names:
   ("Heterogeneous Parallelism for Multimodal LLM Training", arxiv
   2605.27678; same modelling as
   :func:`repro.pp.multimodal_schedule.stage_costs`).
-* **Variable-length micro-batches** — DIP-style (arxiv 2504.14145)
-  per-micro-batch multipliers derived from token counts.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.hardware.gpu import B200, GpuSpec, H100_HBM3, H200, relative_compute_scale
-
-#: Named parts a mixed-fleet profile may reference on the CLI.
-GPU_PARTS: Dict[str, GpuSpec] = {
-    "h100": H100_HBM3,
-    "h200": H200,
-    "b200": B200,
-}
 
 
 def mixed_gpu_stage_scale(
@@ -85,22 +76,6 @@ def vit_encoder_stage_scale(
     return tuple(
         encoder_scale if s < encoder_stages else 1.0 for s in range(n_stages)
     )
-
-
-def microbatch_scale_from_lengths(lengths: Sequence[int]) -> Tuple[float, ...]:
-    """DIP-style per-micro-batch multipliers from token counts.
-
-    Each micro-batch's compute scales with its token count relative to
-    the batch mean, so the mean multiplier is 1.0 and total compute is
-    conserved versus the uniform schedule.
-    """
-    if not lengths:
-        raise ValueError("lengths must name at least one micro-batch")
-    for i, n in enumerate(lengths):
-        if n <= 0:
-            raise ValueError(f"lengths[{i}] must be > 0; got {n}")
-    mean = sum(lengths) / float(len(lengths))
-    return tuple(n / mean for n in lengths)
 
 
 #: Named stage-profile presets usable anywhere a profile is accepted.

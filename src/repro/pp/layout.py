@@ -53,10 +53,6 @@ class PipelineLayout:
     def stage(self, global_stage: int) -> StageAssignment:
         return self.stages[global_stage]
 
-    def rank_of_stage(self, global_stage: int) -> int:
-        """Pipeline rank hosting a global stage (interleaved placement)."""
-        return global_stage % self.pp
-
     def stages_of_rank(self, ppr: int) -> List[StageAssignment]:
         """The v stages hosted by one rank, in virtual-stage order."""
         if not 0 <= ppr < self.pp:

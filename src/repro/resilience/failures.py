@@ -241,23 +241,12 @@ class FailureEvent:
     #: persistently throttled GPU) or ``"link"`` (a degraded link).
     gray_kind: str = ""
 
-    def node_index(self, num_nodes: int) -> int:
-        """The node this failure lands on, for a fleet of ``num_nodes``."""
-        if num_nodes < 1:
-            raise ValueError("num_nodes must be >= 1")
-        return min(int(self.where_fraction * num_nodes), num_nodes - 1)
-
-    def rack_index(self, num_racks: int) -> int:
-        """The rack this failure lands on, for a fleet of ``num_racks``."""
-        if num_racks < 1:
-            raise ValueError("num_racks must be >= 1")
-        return min(int(self.where_fraction * num_racks), num_racks - 1)
-
-    def rank_index(self, world_size: int) -> int:
-        """The rank this failure lands on, for a given world size."""
-        if world_size < 1:
-            raise ValueError("world_size must be >= 1")
-        return min(int(self.where_fraction * world_size), world_size - 1)
+    def index(self, n: int) -> int:
+        """The slot this failure lands on among ``n`` of whatever it hits
+        (nodes, racks, pods or ranks of the current fleet)."""
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        return min(int(self.where_fraction * n), n - 1)
 
 
 class FailureProcess:

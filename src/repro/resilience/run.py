@@ -493,17 +493,17 @@ def simulate_run(
             corruption_onset = None
         return rec
 
-    def lost_gpus_for(ev_kind: str, where_fraction: float) -> int:
-        """GPUs removed by one fail-stop event on the current fleet."""
+    def lost_gpus_for(ev: FailureEvent) -> int:
+        """GPUs removed by one fail-stop event on the current fleet (a
+        tail rack or pod may be ragged)."""
         cur_nodes = max(capacity // cluster.gpus_per_node, 1)
-        if ev_kind == "node_loss":
+        if ev.kind == "node_loss":
             return cluster.gpus_per_node
         per_rack = cluster.nodes_per_rack
         per_pod = per_rack * cluster.racks_per_pod
-        size = per_rack if ev_kind == "rack_loss" else per_pod
+        size = per_rack if ev.kind == "rack_loss" else per_pod
         groups = math.ceil(cur_nodes / size)
-        index = min(int(where_fraction * groups), groups - 1)
-        lost = min(size, cur_nodes - index * size)
+        lost = min(size, cur_nodes - ev.index(groups) * size)
         return lost * cluster.gpus_per_node
 
     def shrink_fleet(lost_gpus: int) -> bool:
@@ -542,7 +542,7 @@ def simulate_run(
             counters["gray_failures"] += 1
             active_gray.append({
                 "kind": ev.gray_kind,
-                "rank": ev.rank_index(seg.plan.parallel.world_size),
+                "rank": ev.index(seg.plan.parallel.world_size),
                 "age": 0, "tolerated": False, "given_up": False,
             })
         elif ev.kind in CORRELATED_DOMAINS:
@@ -561,7 +561,7 @@ def simulate_run(
                and pending_events.time_seconds < t):
             ev = arrive(during_outage=True)
             if config.elastic and ev.kind in CORRELATED_DOMAINS:
-                shrink_fleet(lost_gpus_for(ev.kind, ev.where_fraction))
+                shrink_fleet(lost_gpus_for(ev))
 
     def gray_fact(gray: dict, fact: str) -> float | bool:
         """``"tax"`` (per-step seconds) or ``"localised"`` (bool) of one
@@ -743,8 +743,6 @@ def simulate_run(
                     counters["retry_exhaustions"] += 1
                     abort = ("retry_exhausted", ev)
                 else:
-                    counters["retry_ladders"] += 1
-                    counters["retry_attempts"] += ev.failed_attempts
                     ladders.append(ev.failed_attempts)
             elif ev.kind == "silent_corruption":
                 counters["silent_corruptions"] += 1
@@ -759,6 +757,8 @@ def simulate_run(
             retry_overhead = 0.0
             policy = config.retry_policy
             for i, attempts in enumerate(ladders):
+                counters["retry_ladders"] += 1
+                counters["retry_attempts"] += attempts
                 name = f"retry:step{done}.{i}"
                 for k in range(attempts):
                     emit("dp", policy.timeout_seconds, f"{name}#try{k}",
@@ -827,8 +827,7 @@ def simulate_run(
 
         if domain != "none":
             if config.elastic:
-                if not shrink_fleet(
-                        lost_gpus_for(reason, ev.where_fraction)):
+                if not shrink_fleet(lost_gpus_for(ev)):
                     # Nothing restorable will run: rework what's in
                     # flight beyond the best surviving checkpoint.
                     rec = newest_record(domain)

@@ -183,12 +183,6 @@ class TieredCheckpoint:
             raise ConfigError(
                 "tiered policy must checkpoint on at least one tier")
 
-    def policy_for(self, tier: str) -> CheckpointPolicy:
-        for name, policy in self.tiers:
-            if name == tier:
-                return policy
-        return NoCheckpoint()
-
     def describe(self) -> str:
         parts = ", ".join(
             f"{name}: {policy.describe()}" for name, policy in self.tiers)

@@ -22,7 +22,6 @@ from repro.sim.collectives import (
     all_gather_time,
     all_to_all_time,
     reduce_scatter_time,
-    all_reduce_time,
     broadcast_time,
     p2p_time,
     achieved_all_gather_bandwidth,
@@ -39,7 +38,6 @@ __all__ = [
     "all_gather_time",
     "all_to_all_time",
     "reduce_scatter_time",
-    "all_reduce_time",
     "broadcast_time",
     "p2p_time",
     "achieved_all_gather_bandwidth",

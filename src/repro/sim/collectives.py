@@ -6,7 +6,6 @@ All models are ring-algorithm based, the NCCL default at these group sizes:
   ``n - 1`` steps, each moving an ``S / n``-byte shard to the neighbour, so
   ``t = (n - 1) * (alpha + (S / n) / bw_eff)``.
 * **reduce-scatter** is symmetric to all-gather.
-* **all-reduce** is a reduce-scatter followed by an all-gather.
 * **broadcast** uses a binomial tree: ``ceil(log2 n)`` hops of the full
   payload.
 * **all-to-all** (the MoE expert dispatch/combine collective) uses the
@@ -164,27 +163,6 @@ def reduce_scatter_time(
     """Ring reduce-scatter over an input of ``total_bytes`` per rank."""
     # Symmetric to all-gather in the ring model.
     return all_gather_time(cluster, ranks, total_bytes, congestion)
-
-
-def all_reduce_time(
-    cluster: ClusterSpec,
-    ranks: Sequence[int],
-    total_bytes: float,
-    congestion: float = 1.0,
-) -> CollectiveCost:
-    """Ring all-reduce: reduce-scatter then all-gather."""
-    _validate(ranks, total_bytes, congestion)
-    n = len(ranks)
-    if n == 1:
-        return CollectiveCost(0.0, 0.0, float("inf"))
-    link = _group_link(cluster, ranks)
-    shard = total_bytes / n
-    seconds = _ring_steps_time(link, shard, 2 * (n - 1), congestion)
-    return CollectiveCost(
-        seconds=seconds,
-        bytes_on_wire=2 * shard * (n - 1),
-        algorithm_bandwidth=total_bytes / seconds,
-    )
 
 
 def broadcast_time(

@@ -1,4 +1,5 @@
-"""MoE token-routing math: capacity, load imbalance, and drop accounting.
+"""MoE token-routing math: load imbalance, drop accounting, and dispatch
+traffic.
 
 Expert layers route each token to its ``top_k`` experts, but every expert
 processes at most a fixed *capacity* of tokens per micro-batch —
@@ -10,7 +11,8 @@ residual connection).  Two consequences matter for the simulator:
   over-select early in training) saturates its capacity buffer, so the
   rank hosting it does up to ``capacity_factor`` times the balanced work
   while its all-to-all peers wait.  This is the per-stage-heterogeneity
-  shape the :class:`repro.faults.HotExpert` fault injects.
+  shape the :class:`repro.faults.HotExpert` fault injects; its
+  ``work_scale`` is that clipped work multiplier.
 * **Quality accounting** — the dropped-token fraction is a training
   quality signal, reported on :class:`repro.train.step.StepReport`.
 
@@ -21,29 +23,7 @@ experts split the rest evenly.  ``imbalance = 1.0`` is a perfect router.
 
 from __future__ import annotations
 
-import math
-
 from repro.model.config import TextModelConfig
-
-
-def balanced_tokens_per_expert(
-    tokens: int, n_experts: int, top_k: int
-) -> float:
-    """Tokens each expert receives from ``tokens`` inputs under a
-    perfectly balanced router (each token counted ``top_k`` times)."""
-    if tokens < 0 or n_experts < 1 or top_k < 1:
-        raise ValueError("tokens >= 0, n_experts >= 1, top_k >= 1 required")
-    return tokens * top_k / n_experts
-
-
-def expert_capacity(
-    tokens: int, n_experts: int, top_k: int, capacity_factor: float
-) -> int:
-    """Per-expert token buffer: ``ceil(capacity_factor * balanced)``."""
-    if capacity_factor <= 0:
-        raise ValueError("capacity_factor must be positive")
-    balanced = balanced_tokens_per_expert(tokens, n_experts, top_k)
-    return math.ceil(capacity_factor * balanced)
 
 
 def dropped_token_fraction(
@@ -71,25 +51,6 @@ def dropped_token_fraction(
         cold = (1.0 - hot) / (n_experts - 1)
         dropped += (n_experts - 1) * max(0.0, cold - cap)
     return min(dropped, 1.0)
-
-
-def hot_expert_compute_scale(
-    n_experts: int,
-    capacity_factor: float,
-    imbalance: float,
-) -> float:
-    """Work multiplier for the rank hosting the hottest expert, relative
-    to the balanced load.
-
-    The capacity buffer clips the hot expert's realised work at
-    ``capacity_factor`` times balanced, so the scale saturates there —
-    past that point a hotter router drops more tokens instead of doing
-    more work (see :func:`dropped_token_fraction`).
-    """
-    if imbalance < 1.0:
-        raise ValueError("imbalance must be >= 1.0")
-    load = min(imbalance / n_experts, 1.0) * n_experts
-    return min(load, capacity_factor)
 
 
 def dispatch_bytes_per_rank(

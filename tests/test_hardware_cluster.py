@@ -12,12 +12,12 @@ class TestClusterSpec:
         assert GRAND_TETON_16K.gpus_per_node == 8
         assert GRAND_TETON_16K.num_nodes == 2048
 
-    def test_node_and_local_rank(self):
+    def test_node_of_rank(self):
         c = grand_teton(64)
         assert c.node_of(0) == 0
         assert c.node_of(7) == 0
         assert c.node_of(8) == 1
-        assert c.local_rank(13) == 5
+        assert c.node_of(13) == 1
 
     def test_link_between_same_node_is_nvlink(self):
         c = grand_teton(64)

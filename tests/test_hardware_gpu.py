@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from repro.hardware.gpu import (
     H100_HBM2E,
     H100_HBM3,
-    attainable_tflops,
     gemm_efficiency,
     gemm_time,
 )
@@ -87,17 +86,3 @@ class TestGemmTime:
         assert gemm_time(H100_HBM3, m + 64, 1024, 1024) > gemm_time(
             H100_HBM3, m, 1024, 1024
         ) * 0.999
-
-
-class TestAttainableTflops:
-    def test_never_exceeds_peak(self):
-        assert attainable_tflops(H100_HBM3, 1e12, 1e6) <= 989.0
-
-    def test_memory_bound_op_capped_by_bandwidth(self):
-        # 1 FLOP per byte: attainable = bandwidth in GFLOP terms.
-        tf = attainable_tflops(H100_HBM3, 1e9, 1e9)
-        assert tf == pytest.approx(3350e9 / 1e12)
-
-    def test_rejects_zero_flops(self):
-        with pytest.raises(ValueError):
-            attainable_tflops(H100_HBM3, 0, 1)

@@ -43,8 +43,8 @@ class TestPlannerToStepAcrossZoo:
         sizes = []
         for model, job, cluster in self.CASES:
             plan = plan_parallelism(model, job, cluster)
-            sizes.append((model_params(model),
-                          plan.parallel.model_parallel_size))
+            par = plan.parallel
+            sizes.append((model_params(model), par.tp * par.ep * par.pp))
         sizes.sort()
         assert sizes[0][1] <= sizes[1][1] <= sizes[2][1]
 

@@ -2,7 +2,6 @@
 whole library, whatever the configuration."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.hardware.cluster import grand_teton
@@ -12,7 +11,7 @@ from repro.pp.analysis import ScheduleShape
 from repro.pp.grad_memory import track_memory
 from repro.pp.layout import build_layout
 from repro.pp.schedule import build_afab_schedule, build_flexible_schedule
-from repro.sim.collectives import all_gather_time, all_reduce_time
+from repro.sim.collectives import all_gather_time
 from repro.train.cost import StageCost
 from repro.train.executor import execute_pipeline
 
@@ -98,21 +97,11 @@ class TestMemoryInvariants:
         flex = build_flexible_schedule(shape)
         a = track_memory(afab, 0, ZeroStage.ZERO_1)
         f = track_memory(flex, 0, ZeroStage.ZERO_1)
-        assert a.peak_activation_bytes >= f.peak_activation_bytes - 1e-12
+        peak = [max(s.activation_bytes for s in t.samples) for t in (a, f)]
+        assert peak[0] >= peak[1] - 1e-12
 
 
 class TestCollectiveInvariants:
-    @settings(max_examples=30, deadline=None)
-    @given(
-        n=st.integers(min_value=2, max_value=16),
-        mb=st.floats(min_value=1e3, max_value=1e9),
-    )
-    def test_all_reduce_costs_two_all_gathers(self, n, mb):
-        ranks = [i * 8 for i in range(n)]  # inter-node group
-        ag = all_gather_time(CLUSTER, ranks, mb)
-        ar = all_reduce_time(CLUSTER, ranks, mb)
-        assert ar.seconds == pytest.approx(2 * ag.seconds)
-
     @settings(max_examples=30, deadline=None)
     @given(mb=st.floats(min_value=1e3, max_value=1e9))
     def test_time_monotone_in_bytes(self, mb):

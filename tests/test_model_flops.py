@@ -3,12 +3,12 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.data.documents import DocumentBatch
 from repro.model.config import LLAMA3_405B, LLAMA3_8B, MultimodalConfig, VIT_448, VIT_672
 from repro.model.flops import (
     attention_score_flops,
     causal_mask_fraction,
     cross_attention_forward_flops,
-    document_mask_fraction,
     layer_backward_flops,
     layer_forward_flops,
     layer_linear_flops,
@@ -21,31 +21,38 @@ from repro.model.flops import (
 )
 
 
+def _document_fraction(doc_lens):
+    """Share of the score matrix a document mask computes, from the
+    per-row attended counts CP sharding prices."""
+    batch = DocumentBatch(sum(doc_lens), tuple(doc_lens))
+    return int(batch.attended_per_row().sum()) / float(batch.seq ** 2)
+
+
 class TestMaskFractions:
     def test_causal_approaches_half(self):
         assert causal_mask_fraction(1) == 1.0
         assert causal_mask_fraction(8192) == pytest.approx(0.5, abs=1e-3)
 
     def test_document_mask_less_than_causal(self):
-        assert document_mask_fraction([1024] * 8) < causal_mask_fraction(8192)
+        assert _document_fraction([1024] * 8) < causal_mask_fraction(8192)
 
     def test_single_document_equals_causal(self):
-        assert document_mask_fraction([100]) == pytest.approx(
+        assert _document_fraction([100]) == pytest.approx(
             causal_mask_fraction(100)
         )
 
     @given(st.lists(st.integers(min_value=1, max_value=512), min_size=1,
                     max_size=32))
     def test_document_fraction_bounded(self, lens):
-        frac = document_mask_fraction(lens)
+        frac = _document_fraction(lens)
         seq = sum(lens)
         assert 0 < frac <= causal_mask_fraction(seq)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            document_mask_fraction([])
+            causal_mask_fraction(0)
         with pytest.raises(ValueError):
-            document_mask_fraction([3, 0])
+            _document_fraction([3, 0])
 
 
 class TestLayerFlops:

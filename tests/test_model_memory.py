@@ -8,12 +8,18 @@ from repro.model.memory import (
     BF16_BYTES,
     activation_bytes_per_layer,
     embedding_bytes,
-    full_model_bytes,
-    layer_grad_bytes,
-    layer_param_bytes,
     optimizer_state_bytes_per_param,
     output_head_bytes,
 )
+from repro.parallel.config import JobConfig, ParallelConfig
+from repro.parallel.memory import estimate_rank_memory
+
+
+def one_layer(tp: int = 1):
+    """ZeRO-1 rank memory of one 8B layer with no activations alive."""
+    return estimate_rank_memory(
+        LLAMA3_8B, ParallelConfig(tp=tp), JobConfig(seq=8192, gbs=1, ngpu=tp),
+        layers_on_rank=1, in_flight_microbatches=0)
 
 
 class TestActivationAccounting:
@@ -51,17 +57,14 @@ class TestActivationAccounting:
 
 class TestWeightAccounting:
     def test_layer_param_bytes(self):
-        assert layer_param_bytes(LLAMA3_8B) == pytest.approx(
+        assert one_layer().params == pytest.approx(
             BF16_BYTES * layer_params(LLAMA3_8B)
         )
-        assert layer_param_bytes(LLAMA3_8B, tp=8) == pytest.approx(
-            layer_param_bytes(LLAMA3_8B) / 8
-        )
+        assert one_layer(tp=8).params == pytest.approx(one_layer().params / 8)
 
     def test_grads_fp32_by_default(self):
-        assert layer_grad_bytes(LLAMA3_8B) == pytest.approx(
-            2 * layer_param_bytes(LLAMA3_8B)
-        )
+        # FP32 gradient accumulation across PP micro-batches (Section 6.2).
+        assert one_layer().grads == pytest.approx(2 * one_layer().params)
 
     def test_optimizer_state_is_12_bytes(self):
         assert optimizer_state_bytes_per_param() == 12
@@ -69,10 +72,7 @@ class TestWeightAccounting:
     def test_full_model_405b_bf16_812gb(self):
         # 405B params in BF16 ~ 812 GB: far beyond one 80 GB GPU, the
         # reason model parallelism exists at all.
-        assert full_model_bytes(LLAMA3_405B) == pytest.approx(
-            2 * model_params(LLAMA3_405B)
-        )
-        assert full_model_bytes(LLAMA3_405B) > 10 * 80e9
+        assert BF16_BYTES * model_params(LLAMA3_405B) > 10 * 80e9
 
     def test_embedding_and_head_hefty_at_128k_vocab(self):
         # Each is ~4 GB in BF16 before TP sharding (Section 7.1.2).

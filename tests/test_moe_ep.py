@@ -5,20 +5,14 @@ and the planner's EP-vs-TP placement sweep."""
 import pytest
 
 from repro.faults import FAULT_PRESETS, FaultPlan, HotExpert, \
-    fault_from_dict, parse_fault_spec
+    parse_fault_spec
 from repro.hardware.cluster import grand_teton
 from repro.model.config import LLAMA3_8B
 from repro.parallel.config import JobConfig, ParallelConfig
 from repro.parallel.mesh import DeviceMesh
 from repro.train.cost import CostModel
 from repro.train.lowering import StepOpKind
-from repro.train.moe import (
-    balanced_tokens_per_expert,
-    dispatch_bytes_per_rank,
-    dropped_token_fraction,
-    expert_capacity,
-    hot_expert_compute_scale,
-)
+from repro.train.moe import dispatch_bytes_per_rank, dropped_token_fraction
 from repro.train.step import simulate_step
 
 MOE_8X = LLAMA3_8B.moe_variant(8)
@@ -28,12 +22,6 @@ PAR_EP4 = ParallelConfig(tp=2, cp=1, ep=4, pp=2, dp=1)
 
 
 class TestRoutingMath:
-    def test_balanced_share(self):
-        assert balanced_tokens_per_expert(1024, 8, 2) == 256.0
-
-    def test_capacity_ceils(self):
-        assert expert_capacity(1000, 8, 2, 1.25) == 313
-
     def test_balanced_router_drops_nothing(self):
         assert dropped_token_fraction(8, 1.25, imbalance=1.0) == 0.0
 
@@ -47,8 +35,14 @@ class TestRoutingMath:
         assert dropped_token_fraction(64, 0.01, imbalance=64.0) <= 1.0
 
     def test_compute_scale_saturates_at_capacity(self):
-        assert hot_expert_compute_scale(8, 1.25, 1.0) == 1.0
-        assert hot_expert_compute_scale(8, 1.25, 100.0) == 1.25
+        """``HotExpert.work_scale`` is the hosting rank's work multiplier:
+        it follows the router up to the capacity factor, then a hotter
+        router drops tokens instead of doing more work."""
+        assert HotExpert(rank=0, imbalance=1.0 + 2**-20).work_scale == \
+            1.0 + 2**-20
+        assert HotExpert(rank=0, imbalance=100.0).work_scale == 1.25
+        assert HotExpert(rank=0, imbalance=100.0,
+                         capacity_factor=2.0).work_scale == 2.0
 
     def test_dispatch_bytes_dense_model_zero(self):
         assert dispatch_bytes_per_rank(LLAMA3_8B, 4096) == 0.0
@@ -64,7 +58,7 @@ class TestRoutingMath:
         with pytest.raises(ValueError):
             dropped_token_fraction(8, 1.25, imbalance=0.5)
         with pytest.raises(ValueError):
-            hot_expert_compute_scale(8, 1.25, 0.9)
+            HotExpert(rank=0, imbalance=0.9)
 
 
 class TestMoEModelConfig:
@@ -148,7 +142,6 @@ class TestHotExpertFault:
         f = parse_fault_spec("hotexpert:rank=3,imbalance=2.5,capacity=1.5")
         assert isinstance(f, HotExpert)
         assert (f.rank, f.imbalance, f.capacity_factor) == (3, 2.5, 1.5)
-        assert fault_from_dict(f.to_dict()) == f
 
     def test_preset_registered(self):
         plan = FAULT_PRESETS["hot-expert-default"](8)

@@ -13,7 +13,7 @@ from repro.obs.metrics import (
     record_simulator_metrics,
 )
 from repro.parallel.config import ParallelConfig, ZeroStage
-from repro.parallel.mesh import DeviceMesh
+from repro.parallel.mesh import DIM_ORDER, DeviceMesh
 from repro.sim.engine import Simulator
 
 
@@ -99,7 +99,8 @@ class TestMeshAggregation:
 
     def test_all_dims(self):
         reg, mesh = self._registry()
-        out = reg.mesh_aggregates("busy", mesh)
+        out = {dim: reg.aggregate_by_coord("busy", mesh, dim)
+               for dim in DIM_ORDER}
         assert set(out) == {"tp", "cp", "ep", "pp", "dp"}
         assert out["dp"] == {0: sum(range(8))}
 

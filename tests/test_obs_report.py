@@ -6,9 +6,6 @@ import numpy as np
 import pytest
 
 from repro.cp.imbalance import simulate_fleet_imbalance
-from repro.debug.trace_analysis import identify_slow_rank
-from repro.debug.workload import run_synthetic_workload
-from repro.faults import ComputeStraggler, FaultPlan
 from repro.hardware.cluster import grand_teton
 from repro.model.config import LLAMA3_8B
 from repro.obs.report import (
@@ -17,12 +14,10 @@ from repro.obs.report import (
     phases_report,
     plan_report,
     render_json,
-    slow_rank_report,
     step_group_metrics,
     step_report,
 )
 from repro.parallel.config import JobConfig, ParallelConfig, ZeroStage
-from repro.parallel.mesh import DeviceMesh
 from repro.parallel.planner import plan_parallelism
 from repro.train.phases import LLAMA3_405B_PHASES, plan_pretraining
 from repro.train.step import simulate_step
@@ -108,21 +103,6 @@ class TestImbalanceReport:
                     "exposed_cp_seconds", "wait_seconds"):
             summary = rep[key]
             assert summary["min"] <= summary["mean"] <= summary["max"]
-        _round_trips(rep)
-
-
-class TestSlowRankReport:
-    def test_decisions_are_structured_events(self):
-        mesh = DeviceMesh(ParallelConfig(tp=4, cp=2))
-        sim = run_synthetic_workload(mesh, faults=FaultPlan((
-            ComputeStraggler(rank=6, extra_seconds=0.5),)))
-        rep = slow_rank_report(identify_slow_rank(sim, mesh))
-        assert rep["schema"] == f"repro.slow_rank/v{SCHEMA_VERSION}"
-        assert rep["slow_rank"] == 6
-        assert rep["decisions"]
-        for d in rep["decisions"]:
-            assert d["event"] == "slow_rank.decision"
-            assert d["candidates_after"] <= d["candidates_before"]
         _round_trips(rep)
 
 

@@ -13,7 +13,6 @@ class TestParallelConfig:
     def test_world_size(self):
         p = ParallelConfig(tp=8, cp=16, pp=16, dp=8)
         assert p.world_size == 16384
-        assert p.model_parallel_size == 128
         assert p.grad_shard_degree == 128
 
     def test_validation(self):
@@ -161,32 +160,6 @@ class TestExpertParallelMesh:
     def test_ep_describe(self):
         assert "ep=2" in ParallelConfig(tp=2, ep=2, dp=2).describe()
         assert "ep=" not in ParallelConfig(tp=2, dp=2).describe()
-
-
-class TestPPStageRanks:
-    """Satellite: ``pp_stage_ranks`` is now built arithmetically from the
-    decomposition formula; pin equality with the old O(world) scan on
-    three standard meshes."""
-
-    MESHES = (
-        DeviceMesh(ParallelConfig(tp=8, cp=1, pp=16, dp=128)),   # Table 2 r1
-        DeviceMesh(ParallelConfig(tp=8, cp=16, pp=16, dp=8)),    # Table 2 r2
-        DeviceMesh(ParallelConfig(tp=2, cp=2, ep=2, pp=2, dp=2)),  # 5D
-    )
-
-    @staticmethod
-    def _scan(mesh, pp_idx):
-        return [r for r in range(mesh.world_size)
-                if mesh.coord_of(r).pp == pp_idx]
-
-    @pytest.mark.parametrize("mesh", MESHES, ids=("r1", "r2", "5d"))
-    def test_matches_coord_scan(self, mesh):
-        for pp_idx in range(mesh.parallel.pp):
-            assert mesh.pp_stage_ranks(pp_idx) == self._scan(mesh, pp_idx)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            self.MESHES[2].pp_stage_ranks(2)
 
 
 class TestMeshGroupArithmetic:

@@ -41,7 +41,7 @@ class TestBuildLayout:
         # Rank 0 hosts global stages 0 and 4 (Figure 2 pattern).
         stages = layout.stages_of_rank(0)
         assert [s.stage for s in stages] == [0, 4]
-        assert layout.rank_of_stage(5) == 1
+        assert [s.stage for s in layout.stages_of_rank(1)] == [1, 5]
         assert layout.global_stage(1, 1) == 5
 
     def test_layers_on_rank(self):

@@ -108,25 +108,23 @@ class TestFailureEventIndices:
         for where in (0.0, 0.1, 0.5, 0.9999999999, 1.0 - 1e-16):
             ev = FailureEvent(time_seconds=1.0, kind="node_loss",
                               where_fraction=where, failed_attempts=0)
-            assert 0 <= ev.node_index(n) < n
-            assert 0 <= ev.rank_index(n) < n
-            assert 0 <= ev.rack_index(n) < n
+            assert 0 <= ev.index(n) < n
 
     def test_extremes_map_to_first_and_last(self):
         ev_lo = FailureEvent(time_seconds=0.0, kind="gray",
                              where_fraction=0.0, failed_attempts=0)
         ev_hi = FailureEvent(time_seconds=0.0, kind="gray",
                              where_fraction=1.0 - 1e-16, failed_attempts=0)
-        assert ev_lo.rank_index(7) == 0
-        assert ev_hi.rank_index(7) == 6
+        assert ev_lo.index(7) == 0
+        assert ev_hi.index(7) == 6
 
     def test_empty_world_rejected(self):
         ev = FailureEvent(time_seconds=0.0, kind="gray",
                           where_fraction=0.5, failed_attempts=0)
         with pytest.raises(ValueError):
-            ev.rank_index(0)
+            ev.index(0)
         with pytest.raises(ValueError):
-            ev.node_index(-1)
+            ev.index(-1)
 
 
 class TestFixedDrawContract:
@@ -174,8 +172,7 @@ class TestClusterTopology:
         spec = grand_teton(16384)
         assert spec.nodes_per_rack == 8
         assert spec.racks_per_pod == 32
-        assert spec.num_racks == 2048 // 8  # 256 racks
-        assert spec.num_pods == 8
+        assert spec.rack_of(2047) == 2048 // 8 - 1  # 256 racks
         assert spec.rack_of(0) == 0
         assert spec.rack_of(7) == 0
         assert spec.rack_of(8) == 1
@@ -184,9 +181,8 @@ class TestClusterTopology:
 
     def test_ragged_tail_rack(self):
         spec = grand_teton(8 * 10)  # 10 nodes: one full rack + 2 nodes
-        assert spec.num_racks == 2
-        assert spec.nodes_in_rack(0) == 8
-        assert spec.nodes_in_rack(1) == 2
+        assert spec.rack_of(7) == 0
+        assert spec.rack_of(9) == 1
         with pytest.raises(ValueError):
             spec.rack_of(10)
 

@@ -179,10 +179,10 @@ class TestFailureProcess:
     def test_where_scales_onto_fleet(self):
         proc = FailureProcess(100.0, seed=0)
         ev = proc.next_failure()
-        assert 0 <= ev.node_index(4) < 4
-        assert 0 <= ev.rank_index(32) < 32
+        assert 0 <= ev.index(4) < 4
+        assert 0 <= ev.index(32) < 32
         with pytest.raises(ValueError):
-            ev.node_index(0)
+            ev.index(0)
 
     def test_validation(self):
         with pytest.raises(ValueError):

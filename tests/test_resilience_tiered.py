@@ -112,7 +112,7 @@ class TestTieredPolicy:
         assert isinstance(by_tier["peer"], FixedInterval)
         assert by_tier["peer"].every_steps == 2
         assert isinstance(by_tier["remote"], YoungDaly)
-        assert isinstance(policy.policy_for("local"), NoCheckpoint)
+        assert "local" not in by_tier
 
     @pytest.mark.parametrize("bad", [
         "tiered:", "tiered:bogus", "tiered:tape=3",
