@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.ordered_sum import ordered_sum
 from repro.parallel.config import ParallelConfig
@@ -140,6 +140,15 @@ class Histogram(_Metric):
         if key not in self.values:
             self.values[key] = HistogramSummary()
         self.values[key].observe(float(value))
+
+    def observe_many(self, values: Iterable[float], **labels: object) -> None:
+        """:meth:`observe` each value in turn, under one label set."""
+        key = _labelset(labels)
+        summary = self.values.get(key)
+        if summary is None:
+            summary = self.values[key] = HistogramSummary()
+        for value in values:
+            summary.observe(float(value))
 
     def summary(self, **labels: object) -> HistogramSummary:
         key = _labelset(labels)
@@ -292,12 +301,17 @@ def record_simulator_metrics(
       unhidden collectives);
     * ``sim.bubble_ratio`` — idle over busy, the paper's PP bubble metric.
 
-    ``rank_map`` translates simulator-local ranks (e.g. PP ranks in the
-    step executor) to global mesh ranks before labeling.
+    ``sim`` may also be an executed step graph
+    (:class:`repro.train.executor.GraphExecution`): its ``rank_seconds``
+    gives the same figures from the timing, without building the
+    timeline.  ``rank_map`` translates simulator-local ranks (e.g. PP
+    ranks in the step executor) to global mesh ranks before labeling.
     """
     registry = registry or MetricsRegistry()
     rank_map = rank_map or {}
-    makespan = sim.makespan()
+    rank_seconds = getattr(sim, "rank_seconds", None)
+    makespan, rows = (rank_seconds() if rank_seconds is not None
+                      else _rank_seconds(sim))
     busy = registry.gauge("sim.busy_seconds", unit="s",
                           description="compute-stream busy time per rank")
     idle = registry.gauge("sim.idle_seconds", unit="s",
@@ -310,9 +324,22 @@ def record_simulator_metrics(
     bubble = registry.gauge(
         "sim.bubble_ratio", unit="ratio",
         description="idle over busy on the compute stream")
-    ranks = sorted({e.rank for e in sim.events})
-    for rank in ranks:
+    for rank, busy_s, occupied_s, comm_s, exposed_s in rows:
         label = rank_map.get(rank, rank)
+        busy.set(busy_s, rank=label)
+        idle.set(makespan - occupied_s, rank=label)
+        comm.set(comm_s, rank=label)
+        exposed.set(exposed_s, rank=label)
+        bubble.set((makespan - occupied_s) / busy_s if busy_s > 0 else 0.0,
+                   rank=label)
+    return registry
+
+
+def _rank_seconds(sim: Simulator):
+    """``(makespan, [(rank, busy, occupied, comm, exposed seconds)])`` of
+    every rank with events, as :func:`record_simulator_metrics` reads."""
+    rows = []
+    for rank in sorted({e.rank for e in sim.events}):
         busy_s = ordered_sum(
             e.duration
             for e in sim.events_for(rank, stream="compute", kind="compute"))
@@ -321,13 +348,8 @@ def record_simulator_metrics(
             e.duration for e in sim.events_for(rank, kind="comm"))
         exposed_s = ordered_sum(
             e.duration for e in sim.events_for(rank, kind="exposed_comm"))
-        busy.set(busy_s, rank=label)
-        idle.set(makespan - occupied_s, rank=label)
-        comm.set(comm_s, rank=label)
-        exposed.set(exposed_s, rank=label)
-        bubble.set((makespan - occupied_s) / busy_s if busy_s > 0 else 0.0,
-                   rank=label)
-    return registry
+        rows.append((rank, busy_s, occupied_s, comm_s, exposed_s))
+    return sim.makespan(), rows
 
 
 def record_critical_path_metrics(

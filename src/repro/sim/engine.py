@@ -15,16 +15,18 @@ under forward compute, Section 7.3.1).
 
 There are two ways in: :meth:`Simulator.run` times one task from its
 stream's frontier, its dependencies and an optional release time, and
-:meth:`Simulator.record` appends an event its caller already timed (trace
-merges, the rank-0 run log of :mod:`repro.resilience.run`, and the
-synchronising collectives of :mod:`repro.debug.workload`).  The engine
-never perturbs a duration: fault plans apply before submission
+:meth:`Simulator.record` appends an event its caller already timed (the
+step-graph timeline, which :mod:`repro.train.executor` times on flat
+arrays and builds on first read; trace merges; the rank-0 run log of
+:mod:`repro.resilience.run`; and the synchronising collectives of
+:mod:`repro.debug.workload`).  The engine never perturbs a duration:
+fault plans apply before submission
 (:func:`repro.faults.models.perturb_duration`).
 
-**Fast path.**  This is the hot module under everything — step graphs,
-fault fuzzing, detection matrices, multi-step runs — so the
-implementation is tuned for raw submission throughput and O(1)-amortised
-inspection (see ``docs/engine.md``):
+**Fast path.**  Every built timeline — step traces, the fault workload,
+multi-step run logs at 131K ranks — lands here, so the implementation is
+tuned for raw submission throughput and O(1)-amortised inspection (see
+``docs/engine.md``):
 
 * :class:`TraceEvent` is a ``__slots__`` record (no dataclass machinery on
   the hot constructor path), with low-cardinality ``tags`` tuples interned

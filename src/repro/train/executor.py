@@ -1,14 +1,27 @@
-"""Graph interpreter: replays a lowered step graph onto the simulator.
+"""Graph interpreter: times a lowered step graph; its timeline is a view.
 
 :func:`execute_graph` walks every rank's program of typed
 :class:`~repro.train.lowering.StepOp`s with a ready-list, releasing each
-op when all of its dependency uids have executed, and runs it on its
+op when all of its dependency uids have executed, and times it on its
 dedicated (rank, stream) pair — ``compute``, ``tp``, ``cp``, ``ep``,
-``p2p``, ``fsdp``, ``opt``.  Cross-rank P2P sends are asynchronous: they occupy
+``p2p``, ``fsdp``, ``opt``.  An op starts at the latest of its stream's
+free time, its rank's release time and its dependencies' ends, and ends
+its duration later: the rule :meth:`repro.sim.engine.Simulator.run`
+applies, written into flat per-uid lists (:class:`GraphTiming`) instead
+of trace events.  Cross-rank P2P sends are asynchronous: they occupy
 only the producer's ``p2p`` stream, and whenever a consumer's input
-arrives *after* the consumer could have started, the gap is recorded as
-an ``exposed_comm`` wait event — exactly the Figure 3 bubbles, surfaced
-by the trace exporter as their own category.
+arrives *after* the consumer could have started, the gap is timed as an
+``exposed_comm`` wait on the rank's ``wait`` stream — exactly the
+Figure 3 bubbles, surfaced by the trace exporter as their own category.
+
+The timeline is a view.  :class:`GraphExecution` builds its ``events``,
+``wait_events`` and ``sim`` once, on first read, by replaying the timing
+in submission order (the round-robin order of the walk) through
+:meth:`~repro.sim.engine.Simulator.record`; a caller that passes
+``sim=`` gets them built at once into that simulator.  The summary
+(:func:`summarize_pipeline_execution`), the step-time decomposition and
+the ``sim.*`` gauges read the lists, so a step whose caller reads no
+timeline builds no :class:`~repro.sim.engine.TraceEvent`.
 
 The interpreter doubles as a deadlock detector — an invalid schedule
 (one whose per-rank op order creates a circular wait) raises instead of
@@ -25,7 +38,7 @@ reported separately in :attr:`PipelineRun.per_rank_comm`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry
@@ -38,28 +51,157 @@ from repro.train.lowering import (
     COMPUTE_STREAMS,
     PIPELINE_STREAMS,
     StepGraph,
-    StepOpKind,
+    StepOp,
     lower_pipeline,
 )
 
 CostFn = Callable[[StageAssignment], StageCost]
 
+
+#: Value of a :class:`_BuiltOnRead` field that has not been built yet.
+_UNBUILT = object()
+
+
+class _BuiltOnRead:
+    """A dataclass field its owner computes on first read.
+
+    A value passed at construction (``None`` included) is kept as it is.
+    A field left unset holds ``_UNBUILT`` and is filled by the owner's
+    ``_build(name)`` the first time it is read.  Dataclasses route
+    descriptor-typed fields through ``__set__``/``__get__``; the
+    class-level read gives the default (``MISSING`` for a required one).
+    """
+
+    def __init__(self, required: bool = False) -> None:
+        self.default = MISSING if required else _UNBUILT
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj: object, owner: Optional[type] = None) -> object:
+        if obj is None:
+            return self.default
+        value = obj.__dict__[self.name]
+        if value is _UNBUILT:
+            value = obj.__dict__[self.name] = obj._build(self.name)
+        return value
+
+    def __set__(self, obj: object, value: object) -> None:
+        obj.__dict__[self.name] = value
+
+
+@dataclass(frozen=True)
+class GraphTiming:
+    """Start and end of every op of one interpreted step graph.
+
+    ``start``, ``end`` and ``rank`` are indexed by op uid (lowering
+    numbers a graph's ops ``0..n-1``).  ``order`` holds the ops in
+    submission order, the order of the ready-list walk, which traces and
+    golden reports keep.  Wait ``i`` is submitted just before op
+    ``wait_uid[i]``, on that op's rank.
+    """
+
+    start: List[float]
+    end: List[float]
+    rank: List[int]
+    order: List[StepOp]
+    wait_uid: List[int]
+    wait_start: List[float]
+    wait_end: List[float]
+    #: Trace tags per op uid (see :func:`execute_graph`).
+    tags: Mapping[int, Tuple[str, ...]]
+
+
 @dataclass(frozen=True)
 class GraphExecution:
-    """Raw outcome of interpreting one step graph."""
+    """Outcome of interpreting one step graph: its timing, and its
+    timeline as a view built on first read."""
 
     graph: StepGraph
-    sim: Simulator
-    #: Trace event of every executed op, by uid.
-    events: Dict[int, TraceEvent]
+    #: Simulator holding the timeline: the one passed to
+    #: :func:`execute_graph`, else a fresh one.
+    sim: Simulator = _BuiltOnRead()
+    #: Trace event of every executed op, by uid, in submission order.
+    events: Dict[int, TraceEvent] = _BuiltOnRead()
     #: Synthesized exposed-P2P wait events, in emission order.
-    wait_events: Tuple[TraceEvent, ...]
+    wait_events: Tuple[TraceEvent, ...] = _BuiltOnRead()
+    #: What the timeline is built from; None when the execution was
+    #: assembled from events.
+    timing: Optional[GraphTiming] = None
 
-    def events_of_kind(self, *kinds: StepOpKind) -> List[TraceEvent]:
-        # ``in`` over the tuple compares kinds by identity; no enum hashing.
-        events = self.events
-        return [events[op.uid] for prog in self.graph.programs
-                for op in prog if op.kind in kinds]
+    def _build(self, name: str) -> object:
+        """Replay the timing into the simulator, in submission order."""
+        timing = self.timing
+        if timing is None:
+            return None
+        built = self.__dict__
+        sim = built["sim"]
+        if sim is _UNBUILT:
+            sim = Simulator()
+        record = sim.record
+        start, end, rank_of = timing.start, timing.end, timing.rank
+        tags = timing.tags
+        wait_uid, wait_start, wait_end = (
+            timing.wait_uid, timing.wait_start, timing.wait_end)
+        n_waits = len(wait_uid)
+        next_wait = wait_uid[0] if n_waits else -1
+        events: Dict[int, TraceEvent] = {}
+        waits: List[TraceEvent] = []
+        for op in timing.order:
+            uid = op.uid
+            rank = rank_of[uid]
+            if uid == next_wait:
+                i = len(waits)
+                wait = TraceEvent(op.wait_name, "exposed_comm", rank, "wait",
+                                  wait_start[i], wait_end[i])
+                record(wait)
+                waits.append(wait)
+                next_wait = wait_uid[i + 1] if i + 1 < n_waits else -1
+            stream = op.stream
+            event = TraceEvent(
+                op.name,
+                "compute" if stream in COMPUTE_STREAMS else "comm",
+                rank, stream, start[uid], end[uid], (),
+                tags.get(uid, ()) if tags else ())
+            record(event)
+            events[uid] = event
+        built.update(sim=sim, events=events, wait_events=tuple(waits))
+        return built[name]
+
+    def rank_seconds(self) -> Tuple[float, List[Tuple[int, float, float,
+                                                        float, float]]]:
+        """What :func:`repro.obs.metrics.record_simulator_metrics` reads
+        off a simulator holding only this timeline, from the timing.
+
+        Returns the makespan and, per rank with events, ``(rank, compute
+        seconds, compute-stream occupancy, comm seconds, exposed wait
+        seconds)``, each summed in the rank's submission order.  Only
+        compute ops occupy the ``compute`` stream, so the two compute
+        figures are the same sum.
+        """
+        timing = self.timing
+        start, end = timing.start, timing.end
+        wait_durations: Dict[int, List[float]] = {}
+        for uid, s, e in zip(timing.wait_uid, timing.wait_start,
+                             timing.wait_end):
+            wait_durations.setdefault(timing.rank[uid], []).append(e - s)
+        makespan = max(0.0, max(end, default=0.0),
+                       max(timing.wait_end, default=0.0))
+        rows = []
+        for rank, prog in enumerate(self.graph.programs):
+            if not prog:
+                continue
+            busy = ordered_sum(end[op.uid] - start[op.uid] for op in prog
+                               if op.stream == "compute")
+            comm = ordered_sum(end[op.uid] - start[op.uid] for op in prog
+                               if op.stream not in COMPUTE_STREAMS)
+            exposed = ordered_sum(wait_durations.get(rank, ()))
+            rows.append((rank, busy, busy, comm, exposed))
+        return makespan, rows
+
+
+def _time_zero(rank: int, stream: str) -> float:
+    return 0.0
 
 
 def execute_graph(
@@ -69,11 +211,13 @@ def execute_graph(
     metrics: Optional[MetricsRegistry] = None,
     op_tags: Optional[Mapping[int, Tuple[str, ...]]] = None,
 ) -> GraphExecution:
-    """Interpret a step graph onto the simulator.
+    """Time a step graph; its timeline is built when first read.
 
     Args:
         graph: Lowered per-rank programs.
-        sim: Simulator to record into (a fresh one by default).
+        sim: Simulator to record the timeline into, at once; each stream
+            starts where this simulator has it.  By default the timeline
+            goes into a fresh simulator on first read.
         start_times: Optional per-rank earliest start applied to every op
             of the rank (models an externally-imposed release time).
         metrics: Registry for op counts, op durations, and exposed-P2P
@@ -83,40 +227,30 @@ def execute_graph(
             rewritten ops ``"faulted"`` in the timeline.  Tagged ops are
             also counted in the ``faults.injected_ops`` metric.
     """
-    sim = sim or Simulator()
     start_times = start_times or {}
-    op_tags = op_tags or {}
-
-    if metrics is not None:
-        op_count = metrics.counter(
-            "pp.ops", unit="ops",
-            description="pipeline ops executed, by rank and kind")
-        op_seconds = metrics.histogram(
-            "pp.op_seconds", unit="s",
-            description="pipeline compute-op durations, by kind")
-        exposed_p2p = metrics.counter(
-            "pp.exposed_p2p_seconds", unit="s",
-            description="compute-stream time lost waiting for P2P input")
-        injected_ops = metrics.counter(
-            "faults.injected_ops", unit="ops",
-            description="fault-perturbed ops executed, by rank")
-
-    events: Dict[int, TraceEvent] = {}
-    waits: List[TraceEvent] = []
     programs = graph.programs
+    n = sum(len(p) for p in programs)
+    start = [0.0] * n
+    end: List[Optional[float]] = [None] * n
+    rank_of = [0] * n
+    order: List[StepOp] = []
+    append = order.append
+    wait_uid: List[int] = []
+    wait_start: List[float] = []
+    wait_end: List[float] = []
+    # Per-rank stream free times; a stream starts where ``sim`` has it.
+    free: List[Dict[str, float]] = [{} for _ in programs]
+    now = sim.now if sim is not None else _time_zero
     pointers = [0] * len(programs)
-    total_ops = sum(len(p) for p in programs)
     executed = 0
-    has_tags = bool(op_tags)
-    run = sim.run
 
     # The ready-list walk below visits ranks round-robin and runs each
     # rank's program as far as its dependencies allow.  The visiting
-    # order — and therefore the event submission order — is part of the
-    # engine's observable behaviour (traces and golden reports are
-    # byte-stable), so the optimisations here (hoisted per-rank lookups,
-    # inlined dependency checks) must never reorder submissions.
-    while executed < total_ops:
+    # order — and therefore the submission order the timeline is built
+    # in — is observable (traces and golden reports are byte-stable), so
+    # the optimisations here (hoisted per-rank lookups, inlined
+    # dependency checks) must never reorder submissions.
+    while executed < n:
         progressed = False
         for rank, prog in enumerate(programs):
             ptr = pointers[rank]
@@ -124,65 +258,72 @@ def execute_graph(
             if ptr >= n_ops:
                 continue
             floor = start_times.get(rank, 0.0)
+            rank_free = free[rank]
             while ptr < n_ops:
                 op = prog[ptr]
+                deps = op.deps
                 ready = True
-                for uid in op.deps:
-                    if uid not in events:
+                for uid in deps:
+                    if end[uid] is None:
                         ready = False
                         break
                 if not ready:
                     break
-                deps = [events[uid] for uid in op.deps]
+                stream = op.stream
+                at = rank_free.get(stream)
+                if at is None:
+                    at = now(rank, stream)
                 if op.wait_name is not None:
                     # Exposed wait: the gap between the rank being ready
                     # (own stream free, local inputs done) and the
-                    # cross-rank input arriving.
-                    arrival = max(
-                        (d.end for d in deps if d.rank != rank),
-                        default=0.0)
+                    # cross-rank input arriving.  Each max keeps the
+                    # first of equal ends, as ``max()`` does.
+                    arrival = local_ready = None
+                    for uid in deps:
+                        dep_end = end[uid]
+                        if rank_of[uid] != rank:
+                            if arrival is None or dep_end > arrival:
+                                arrival = dep_end
+                        elif local_ready is None or dep_end > local_ready:
+                            local_ready = dep_end
+                    if arrival is None:
+                        arrival = 0.0
                     local_ready = max(
-                        sim.now(rank, op.stream), floor,
-                        max((d.end for d in deps if d.rank == rank),
-                            default=0.0))
+                        at, floor,
+                        0.0 if local_ready is None else local_ready)
                     if arrival > local_ready:
-                        wait = sim.run(
-                            rank=rank,
-                            stream="wait",
-                            duration=arrival - local_ready,
-                            name=op.wait_name,
-                            kind="exposed_comm",
-                            not_before=local_ready,
-                        )
-                        waits.append(wait)
-                        if metrics is not None:
-                            exposed_p2p.inc(wait.duration, rank=rank)
-                stream = op.stream
-                tags = op_tags.get(op.uid, ()) if has_tags else ()
-                event = run(
-                    rank=rank,
-                    stream=stream,
-                    duration=op.duration,
-                    name=op.name,
-                    kind=("compute" if stream in COMPUTE_STREAMS
-                          else "comm"),
-                    after=deps,
-                    not_before=floor,
-                    tags=tags,
-                )
-                if metrics is not None:
-                    if tags:
-                        injected_ops.inc(1, rank=rank)
-                    if op.pipeline_op is not None:
-                        kind_label = op.pipeline_op.kind.name.lower()
-                        op_count.inc(1, rank=rank, kind=kind_label)
-                        op_seconds.observe(event.duration, kind=kind_label)
-                events[op.uid] = event
+                        wait_at = rank_free.get("wait")
+                        if wait_at is None:
+                            wait_at = now(rank, "wait")
+                        if local_ready > wait_at:
+                            wait_at = local_ready
+                        wait_done = wait_at + (arrival - local_ready)
+                        rank_free["wait"] = wait_done
+                        wait_uid.append(op.uid)
+                        wait_start.append(wait_at)
+                        wait_end.append(wait_done)
+                if floor > at:
+                    at = floor
+                for uid in deps:
+                    dep_end = end[uid]
+                    if dep_end > at:
+                        at = dep_end
+                duration = op.duration
+                if duration < 0:
+                    raise ValueError(
+                        f"negative duration for task {op.name!r}")
+                uid = op.uid
+                done = at + duration
+                start[uid] = at
+                end[uid] = done
+                rank_of[uid] = rank
+                rank_free[stream] = done
+                append(op)
                 ptr += 1
-                executed += 1
-                progressed = True
             if ptr != pointers[rank]:
+                executed += ptr - pointers[rank]
                 pointers[rank] = ptr
+                progressed = True
         if not progressed:
             blocked = [
                 (rank, prog[pointers[rank]].name)
@@ -193,8 +334,60 @@ def execute_graph(
                 f"pipeline schedule deadlocked; blocked ops: {blocked}"
             )
 
-    return GraphExecution(graph=graph, sim=sim, events=events,
-                          wait_events=tuple(waits))
+    timing = GraphTiming(start=start, end=end, rank=rank_of, order=order,
+                         wait_uid=wait_uid, wait_start=wait_start,
+                         wait_end=wait_end, tags=op_tags or {})
+    if metrics is not None:
+        _record_metrics(metrics, timing)
+    if sim is None:
+        return GraphExecution(graph=graph, timing=timing)
+    execution = GraphExecution(graph=graph, sim=sim, timing=timing)
+    execution.events  # the caller's simulator gets the timeline now
+    return execution
+
+
+def _record_metrics(metrics: MetricsRegistry, timing: GraphTiming) -> None:
+    """Write the executor's metrics, each label set accumulated in
+    submission order (the order per-op updates would have used)."""
+    op_count = metrics.counter(
+        "pp.ops", unit="ops",
+        description="pipeline ops executed, by rank and kind")
+    op_seconds = metrics.histogram(
+        "pp.op_seconds", unit="s",
+        description="pipeline compute-op durations, by kind")
+    exposed_p2p = metrics.counter(
+        "pp.exposed_p2p_seconds", unit="s",
+        description="compute-stream time lost waiting for P2P input")
+    injected_ops = metrics.counter(
+        "faults.injected_ops", unit="ops",
+        description="fault-perturbed ops executed, by rank")
+
+    start, end, rank_of, tags = (
+        timing.start, timing.end, timing.rank, timing.tags)
+    counts: Dict[Tuple[int, str], int] = {}
+    seconds: Dict[str, List[float]] = {}
+    for op in timing.order:
+        pipeline_op = op.pipeline_op
+        if pipeline_op is not None:
+            uid = op.uid
+            label = pipeline_op.kind.name.lower()
+            key = (rank_of[uid], label)
+            counts[key] = counts.get(key, 0) + 1
+            seconds.setdefault(label, []).append(end[uid] - start[uid])
+    for (rank, label), count in counts.items():
+        op_count.inc(count, rank=rank, kind=label)
+    for label, values in seconds.items():
+        op_seconds.observe_many(values, kind=label)
+    for uid, s, e in zip(timing.wait_uid, timing.wait_start, timing.wait_end):
+        exposed_p2p.inc(e - s, rank=rank_of[uid])
+    injected: Dict[int, int] = {}
+    if tags:
+        for op in timing.order:
+            if tags.get(op.uid):
+                rank = rank_of[op.uid]
+                injected[rank] = injected.get(rank, 0) + 1
+    for rank, count in injected.items():
+        injected_ops.inc(count, rank=rank)
 
 
 @dataclass(frozen=True)
@@ -202,7 +395,9 @@ class PipelineRun:
     """Result of executing one schedule."""
 
     schedule: PipelineSchedule
-    sim: Simulator
+    #: Simulator holding the run's timeline (built on first read when
+    #: the run summarises an :func:`execute_graph` given no simulator).
+    sim: Simulator = _BuiltOnRead(required=True)
     #: Latest end time across the run's own pipeline events (a step
     #: timeline's FSDP/optimizer tail is *not* included — see
     #: :class:`repro.train.step.StepReport` for the full-step time).
@@ -213,7 +408,7 @@ class PipelineRun:
     #: Compute event of every executed op, for timeline verification
     #: (:mod:`repro.verify.invariants` checks send-before-recv against
     #: these without parsing event names).
-    op_events: Optional[Dict[PipelineOp, TraceEvent]] = None
+    op_events: Optional[Dict[PipelineOp, TraceEvent]] = _BuiltOnRead()
     #: P2P latency the run was executed with; None when unknown (e.g. a
     #: PipelineRun assembled outside execute_pipeline).
     p2p_seconds: Optional[float] = None
@@ -224,6 +419,21 @@ class PipelineRun:
     #: Per-rank communication seconds by kind ("tp", "cp", "ep", "p2p",
     #: "exposed_p2p", and "fsdp" for step timelines).
     per_rank_comm: Optional[Tuple[Dict[str, float], ...]] = None
+    #: The interpreted graph ``sim`` and ``op_events`` are built from
+    #: when they were not passed.
+    execution: Optional[GraphExecution] = field(
+        default=None, repr=False, compare=False)
+
+    def _build(self, name: str) -> object:
+        execution = self.execution
+        if execution is None:
+            return None
+        if name == "sim":
+            return execution.sim
+        events = execution.events
+        return {op.pipeline_op: events[op.uid]
+                for prog in execution.graph.programs for op in prog
+                if op.stream == "compute" and op.pipeline_op is not None}
 
     @property
     def pp(self) -> int:
@@ -266,46 +476,52 @@ def summarize_pipeline_execution(
     schedule: PipelineSchedule,
     p2p_seconds: Optional[float],
 ) -> PipelineRun:
-    """Fold an interpreted graph's pipeline region into a PipelineRun."""
+    """Fold an interpreted graph's pipeline region into a PipelineRun.
+
+    Reads the timing only; the run's ``sim`` and ``op_events`` are the
+    execution's timeline, built when first read.
+    """
     pp = schedule.pp
     busy = [0.0] * pp
     comm: List[Dict[str, float]] = [{} for _ in range(pp)]
-    op_events: Dict[PipelineOp, TraceEvent] = {}
     makespan = 0.0
     start_time: Optional[float] = None
-    events = execution.events
+    timing = execution.timing
+    start, end = timing.start, timing.end
     # Branch on the op's stream: COMPUTE is the only op on ``compute``,
     # the optimizer the only one on ``opt``, and every other stream is
     # communication keyed by its own name (see repro.train.lowering).
     for prog in execution.graph.programs:
         for op in prog:
-            event = events[op.uid]
+            uid = op.uid
+            op_start = start[uid]
+            op_end = end[uid]
             stream = op.stream
             if stream == "compute":
-                busy[op.rank] += event.duration
-                if op.pipeline_op is not None:
-                    op_events[op.pipeline_op] = event
-                if start_time is None or event.start < start_time:
-                    start_time = event.start
+                busy[op.rank] += op_end - op_start
+                if start_time is None or op_start < start_time:
+                    start_time = op_start
             elif stream not in COMPUTE_STREAMS:
                 rank_comm = comm[op.rank]
                 rank_comm[stream] = (
-                    rank_comm.get(stream, 0.0) + event.duration)
-            if stream in PIPELINE_STREAMS and event.end > makespan:
-                makespan = event.end
-    for wait in execution.wait_events:
-        comm[wait.rank]["exposed_p2p"] = (
-            comm[wait.rank].get("exposed_p2p", 0.0) + wait.duration)
-        makespan = max(makespan, wait.end)
+                    rank_comm.get(stream, 0.0) + (op_end - op_start))
+            if stream in PIPELINE_STREAMS and op_end > makespan:
+                makespan = op_end
+    for uid, wait_start, wait_end in zip(
+            timing.wait_uid, timing.wait_start, timing.wait_end):
+        rank_comm = comm[timing.rank[uid]]
+        rank_comm["exposed_p2p"] = (
+            rank_comm.get("exposed_p2p", 0.0) + (wait_end - wait_start))
+        makespan = max(makespan, wait_end)
     return PipelineRun(
         schedule=schedule,
-        sim=execution.sim,
+        sim=_UNBUILT,
         makespan=makespan,
         per_rank_busy=tuple(busy),
-        op_events=op_events,
         p2p_seconds=p2p_seconds,
         start_time=start_time or 0.0,
         per_rank_comm=tuple(comm),
+        execution=execution,
     )
 
 

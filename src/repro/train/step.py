@@ -298,12 +298,13 @@ def simulate_step(
     # [start_time, pipeline_end]; the head before it (first exposed FSDP
     # all-gather) plus the reduce-scatter tail past it are the exposed
     # FSDP seconds; whatever remains to the full makespan is optimizer.
+    # Read off the timing: no trace event is built here.
+    end = execution.timing.end
     pipeline_end = run.makespan
-    step_seconds = max(
-        (e.end for e in execution.events.values()), default=0.0)
+    step_seconds = max(end, default=0.0)
     rs_end = max(
-        (e.end for e in execution.events_of_kind(
-            StepOpKind.FSDP_REDUCESCATTER)),
+        (end[op.uid] for prog in graph.programs for op in prog
+         if op.kind is StepOpKind.FSDP_REDUCESCATTER),
         default=pipeline_end)
     rs_tail = max(rs_end - pipeline_end, 0.0)
     exposed_fsdp = run.start_time + rs_tail
@@ -368,7 +369,9 @@ def simulate_step(
 
     if metrics is not None:
         rank_map = pp_rank_map(parallel)
-        record_simulator_metrics(run.sim, metrics, rank_map=rank_map)
+        # A caller's simulator may hold more than this step: read it.
+        record_simulator_metrics(execution if sim is None else run.sim,
+                                 metrics, rank_map=rank_map)
         step_gauges = metrics.gauge(
             "step.seconds", unit="s",
             description="step-time components, by part")

@@ -19,6 +19,12 @@ from repro.train.step import simulate_step
 from repro.verify.invariants import run_step_invariants
 
 
+def _events_of_kind(execution, kind):
+    """Executed events of every op of ``kind``, in program order."""
+    return [execution.events[op.uid] for op in execution.graph.ops()
+            if op.kind is kind]
+
+
 def _small_step(zero=ZeroStage.ZERO_2, pp=2, **kwargs):
     par = ParallelConfig(tp=2, cp=1, pp=pp,
                          dp=max(8 // (2 * pp), 1), zero=zero)
@@ -34,12 +40,12 @@ class TestFsdpOverlap:
         ``fsdp`` stream and overlap forward compute (Section 7.3.1)."""
         rep, _, _ = _small_step(pp=2)
         execution = rep.execution
-        gathers = execution.events_of_kind(StepOpKind.FSDP_ALLGATHER)
+        gathers = _events_of_kind(execution, StepOpKind.FSDP_ALLGATHER)
         assert gathers, "no FSDP all-gather events on the timeline"
         assert all(e.stream == "fsdp" and e.kind == "comm"
                    for e in gathers)
         computes = [
-            e for e in execution.events_of_kind(StepOpKind.COMPUTE)
+            e for e in _events_of_kind(execution, StepOpKind.COMPUTE)
             if e.name.startswith("F:")
         ]
         assert any(
@@ -59,10 +65,10 @@ class TestFsdpOverlap:
         rep1, _, _ = _small_step(zero=ZeroStage.ZERO_1)
         nmb = job.micro_batches(par)
         rounds = -(-nmb // default_nc(par.pp, nmb))
-        per_stage_3 = len(rep3.execution.events_of_kind(
-            StepOpKind.FSDP_ALLGATHER))
-        per_stage_1 = len(rep1.execution.events_of_kind(
-            StepOpKind.FSDP_ALLGATHER))
+        per_stage_3 = len(_events_of_kind(
+            rep3.execution, StepOpKind.FSDP_ALLGATHER))
+        per_stage_1 = len(_events_of_kind(
+            rep1.execution, StepOpKind.FSDP_ALLGATHER))
         assert per_stage_3 == per_stage_1 * rounds
 
 
