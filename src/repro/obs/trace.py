@@ -251,14 +251,19 @@ def remap_ranks(sim: Simulator, rank_map: Dict[int, int]) -> Simulator:
 
     The pipeline executor simulates PP ranks 0..pp-1; remapping through
     :func:`repro.obs.metrics.pp_rank_map` before export names each trace
-    process with its true 4D mesh coordinates.
+    process with its true 4D mesh coordinates.  The engine shares group
+    tuples between events, so each distinct group is remapped once.
     """
     out = Simulator()
+    record = out.record
+    rank_of = rank_map.get
+    groups: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
     for e in sim.events:
-        out.record(e.replace(
-            rank=rank_map.get(e.rank, e.rank),
-            group=tuple(rank_map.get(r, r) for r in e.group),
-        ))
+        group = groups.get(e.group)
+        if group is None:
+            group = groups[e.group] = tuple(rank_of(r, r) for r in e.group)
+        record(TraceEvent(e.name, e.kind, rank_of(e.rank, e.rank), e.stream,
+                          e.start, e.end, group, e.tags))
     return out
 
 
@@ -272,14 +277,14 @@ def merge_timelines(
     progression (``repro phases --trace``) lands in one Perfetto file.
     """
     merged = Simulator()
+    record = merged.record
     offset = 0.0
     for label, sim in phases:
+        prefix = f"{label}/" if label else ""
         for e in sim.events:
-            merged.record(e.replace(
-                name=f"{label}/{e.name}" if label else e.name,
-                start=e.start + offset,
-                end=e.end + offset,
-            ))
+            record(TraceEvent(prefix + e.name, e.kind, e.rank, e.stream,
+                              e.start + offset, e.end + offset, e.group,
+                              e.tags))
         offset += sim.makespan()
     return merged
 

@@ -229,6 +229,11 @@ def plan_parallelism(
         candidates=candidates)
 
 
+def _odd_part(n: int) -> int:
+    """``n`` with every factor of two divided out."""
+    return n >> ((n & -n).bit_length() - 1)
+
+
 def replan_for_gpu_count(
     model: TextModelConfig,
     job: JobConfig,
@@ -240,19 +245,28 @@ def replan_for_gpu_count(
     """Replan after permanent capacity loss: the elastic-restart path.
 
     Finds the largest node-aligned GPU count ``<= max_ngpu`` for which
-    Section 5.1 yields a schedulable plan, stepping down one node at a
-    time past counts the divisibility constraints reject (e.g. a gbs the
-    shrunken dp no longer divides).  The job keeps its gbs and sequence
-    length — the paper's phases fix the token budget per step, so losing
-    nodes shows up as a slower step, not a smaller batch.
+    Section 5.1 yields a schedulable plan.  The job keeps its gbs and
+    sequence length — the paper's phases fix the token budget per step,
+    so losing nodes shows up as a slower step, not a smaller batch.
+
+    Only counts that can factor are planned.  A plan splits ``ngpu``
+    into ``(tp * cp * pp) * (dp * ep)`` with ``dp * ep`` dividing gbs,
+    and cp, pp and ep are powers of two while tp is a power of two or
+    the node size.  So the odd part of ``ngpu / gpus_per_node`` must
+    divide gbs; every other count is skipped without planning.  That is
+    only a necessary condition: the unchanged planner still decides
+    each count that passes it, from the top down.
 
     Raises ``ValueError`` when no node-aligned count down to one node
     admits a plan.
     """
     node = cluster.gpus_per_node
     for ngpu in range(max_ngpu - max_ngpu % node, 0, -node):
+        nodes = ngpu // node
+        if job.gbs % _odd_part(nodes):
+            continue
         shrunk_job = replace(job, ngpu=ngpu)
-        shrunk_cluster = replace(cluster, num_nodes=ngpu // node)
+        shrunk_cluster = replace(cluster, num_nodes=nodes)
         try:
             plan = plan_parallelism(model, shrunk_job, shrunk_cluster,
                                     max_pp=max_pp, cost_aware=cost_aware)

@@ -46,12 +46,15 @@ corrupted state.  Detection forces a rollback past every tainted record
 to the newest clean one.
 
 The run timeline is a log on rank 0: each entry starts where the previous
-one ended and is ``record``-ed into a :class:`repro.sim.engine.Simulator`
-— steps on the ``compute`` stream, checkpoint/restart I/O on ``io``,
-retry ladders on ``dp`` (it is the gradient sync that rides the
+one ended — steps on the ``compute`` stream, checkpoint/restart I/O on
+``io``, retry ladders on ``dp`` (it is the gradient sync that rides the
 scale-out network), and zero-duration markers for failures, replans,
 detector verdicts, and mitigation decisions — so ``repro run --trace``
-exports the whole run as a Perfetto timeline.  A retry ladder of ``k``
+exports the whole run as a Perfetto timeline.  The run keeps the log as
+flat rows (:attr:`RunResult.log`); :attr:`RunResult.sim` replays them
+through :meth:`repro.sim.engine.Simulator.record` the first time it is
+read, so a run nobody traces builds no
+:class:`~repro.sim.engine.TraceEvent`.  A retry ladder of ``k``
 failed attempts is ``k`` watchdog timeouts ``{name}#try{i}`` (tagged
 ``retry``), each followed by its backoff ``{name}#backoff{i}`` (tagged
 ``retry``, ``backoff``) when that backoff is positive, then the
@@ -64,6 +67,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
+from repro.built_on_read import BuiltOnRead
 from repro.errors import ConfigError
 from repro.faults.models import fault_preset
 from repro.hardware.cluster import ClusterSpec
@@ -105,9 +109,6 @@ BUCKETS = ("productive", "degraded", "fault", "gray", "retry",
 
 #: Mitigation strategies for detected gray failures.
 MITIGATIONS = ("tolerate", "detect")
-
-#: Tie-break order for restores: cheaper-to-read tiers first.
-_TIER_ORDER = {name: i for i, name in enumerate(TIER_NAMES)}
 
 
 @dataclass(frozen=True)
@@ -203,7 +204,8 @@ class RunResult:
     counters: Dict[str, int]
     failures: List[dict]
     segments: List[dict]
-    sim: Simulator
+    #: The rank-0 run timeline, built from :attr:`log` on first read.
+    sim: Simulator = BuiltOnRead()
     #: Per-tier interval in steps (single-tier policies report ``remote``).
     tier_intervals: Dict[str, Optional[int]] = field(default_factory=dict)
     #: Checkpoint writes per tier.
@@ -212,6 +214,20 @@ class RunResult:
     restores: List[dict] = field(default_factory=list)
     #: Detect–mitigate decisions, fully costed.
     mitigations: List[dict] = field(default_factory=list)
+    #: The run log as rows ``(name, kind, stream, end, group, tags)``;
+    #: each entry starts where the previous one ended.
+    log: List[tuple] = field(default_factory=list, repr=False)
+
+    def _build(self, name: str) -> Simulator:
+        """Replay the log into a simulator, in order, on rank 0."""
+        sim = Simulator()
+        record = sim.record
+        start = 0.0
+        for label, kind, stream, end, group, tags in self.log:
+            record(TraceEvent(label, kind, 0, stream, start, end, group,
+                              tags))
+            start = end
+        return sim
 
     @property
     def ideal_seconds(self) -> float:
@@ -247,7 +263,6 @@ class RunResult:
 
 def _price_segment(
     model: TextModelConfig,
-    job: JobConfig,
     cluster: ClusterSpec,
     capacity_ngpu: int,
     plan: Plan,
@@ -322,7 +337,6 @@ def simulate_run(
     tier's read cost on the current segment), and resumes from its step —
     from step 0 when nothing survives (or under :class:`NoCheckpoint`).
     """
-    sim = Simulator()
     taxonomy = config.taxonomy
     proc = FailureProcess(
         config.mtbf_seconds, seed=config.seed, taxonomy=taxonomy)
@@ -332,6 +346,10 @@ def simulate_run(
     if schedule_kind is not None:
         initial_plan = replace(initial_plan, schedule=schedule_kind)
     segments: Dict[int, FleetSegment] = {}
+    # Pricing depends only on the plan, and many capacities replan to the
+    # same one (a lost node rarely leaves a count gbs still divides):
+    # price each distinct plan once.
+    priced: Dict[tuple, FleetSegment] = {}
 
     def segment_for(capacity: int) -> FleetSegment:
         if capacity not in segments:
@@ -342,8 +360,13 @@ def simulate_run(
                     model, replace(job, ngpu=capacity), cluster, capacity)
                 if schedule_kind is not None:
                     plan = replace(plan, schedule=schedule_kind)
-            segments[capacity] = _price_segment(
-                model, job, cluster, capacity, plan)
+            key = (plan.parallel, plan.job, plan.schedule)
+            if key in priced:
+                segments[capacity] = replace(
+                    priced[key], capacity_ngpu=capacity, plan=plan)
+            else:
+                segments[capacity] = priced[key] = _price_segment(
+                    model, cluster, capacity, plan)
         return segments[capacity]
 
     seg = segment_for(job.ngpu)
@@ -373,7 +396,8 @@ def simulate_run(
     mitigation_log: List[dict] = []
 
     t = 0.0
-    log_end = 0.0  # end of the newest timeline entry
+    log: List[tuple] = []  # the run log (see RunResult.log)
+    log_end = 0.0  # end of the newest log entry
     done = 0        # steps finished since the run began (incl. uncommitted)
     capacity = job.ngpu
     # (step_no, duration, productive, degraded, fault, retry, gray) per
@@ -381,9 +405,13 @@ def simulate_run(
     pending: List[tuple] = []
     pending_events = proc.next_failure()
     truncated_reason: Optional[str] = None
-    # Checkpoint records: {"step", "tier", "time", "tainted"}.  Taint is
-    # simulation ground truth, invisible to restore selection.
-    records: List[dict] = []
+    # Checkpoint records per tier, in write order: {"step", "tier",
+    # "time", "tainted"}.  Taint is simulation ground truth, invisible to
+    # restore selection.  ``newest`` holds each tier's highest-step record
+    # (the first written among equals), so a restore reads three entries
+    # instead of scanning every record.
+    records: Dict[str, List[dict]] = {tier: [] for tier in TIER_NAMES}
+    newest: Dict[str, Optional[dict]] = dict.fromkeys(TIER_NAMES)
     last_ckpt = {tier: 0 for tier in tier_intervals}
     # Ground truth for silent corruption: None while state is clean.
     corruption_onset: Optional[float] = None
@@ -398,10 +426,8 @@ def simulate_run(
     def emit(stream: str, duration: float, name: str, kind: str,
              tags: tuple, group: tuple = ()) -> None:
         nonlocal log_end
-        start = log_end
-        log_end = start + duration
-        sim.record(TraceEvent(name, kind, 0, stream, start, log_end, group,
-                              tags))
+        log_end += duration
+        log.append((name, kind, stream, log_end, group, tags))
 
     def flush_pending() -> None:
         """Durable commit: attempts become final bucket accounting."""
@@ -426,18 +452,22 @@ def simulate_run(
 
     def newest_record(domain: str) -> Optional[dict]:
         """Newest checkpoint restorable after ``domain`` (ties toward the
-        cheaper read).  Taint is *not* consulted: the system cannot see
-        it."""
+        cheaper read: ``TIER_NAMES`` is cheapest first).  Taint is *not*
+        consulted: the system cannot see it."""
         best = None
-        for rec in records:
-            if not tier_survives(rec["tier"], domain):
-                continue
-            if (best is None or rec["step"] > best["step"]
-                    or (rec["step"] == best["step"]
-                        and _TIER_ORDER[rec["tier"]]
-                        < _TIER_ORDER[best["tier"]])):
+        for tier in TIER_NAMES:
+            rec = newest[tier]
+            if (rec is not None and tier_survives(tier, domain)
+                    and (best is None or rec["step"] > best["step"])):
                 best = rec
         return best
+
+    def keep_records(keep) -> None:
+        """Drop every record ``keep`` rejects; re-find each tier's newest."""
+        for tier, recs in records.items():
+            recs[:] = [rec for rec in recs if keep(rec)]
+            newest[tier] = max(recs, key=lambda rec: rec["step"],
+                               default=None)
 
     def tier_label(tier: str) -> tuple:
         """(name infix, tags) naming ``tier`` on checkpoint events."""
@@ -453,8 +483,11 @@ def simulate_run(
         counters["checkpoints"] += 1
         tier_writes[tier] += 1
         t += cost
-        records.append({"step": done, "tier": tier, "time": t,
-                        "tainted": corruption_onset is not None})
+        rec = {"step": done, "tier": tier, "time": t,
+               "tainted": corruption_onset is not None}
+        records[tier].append(rec)
+        if newest[tier] is None or done > newest[tier]["step"]:
+            newest[tier] = rec
         last_ckpt[tier] = done
         if tier == "remote":
             flush_pending()
@@ -547,8 +580,7 @@ def simulate_run(
             })
         elif ev.kind in CORRELATED_DOMAINS:
             counters[ev.kind.replace("loss", "losses")] += 1
-            records[:] = [rec for rec in records
-                          if tier_survives(rec["tier"], ev.kind)]
+            keep_records(lambda rec: tier_survives(rec["tier"], ev.kind))
         return ev
 
     def coalesce_outage() -> None:
@@ -592,7 +624,7 @@ def simulate_run(
         emit("io", 0.0, "failure:silent_corruption", "marker",
              ("failure", "silent_corruption"))
         counters["corruption_rollbacks"] += 1
-        records[:] = [rec for rec in records if not rec["tainted"]]
+        keep_records(lambda rec: not rec["tainted"])
         corruption_onset = None
         do_restore("none", "silent_corruption")
         coalesce_outage()
@@ -871,11 +903,11 @@ def simulate_run(
         counters=counters,
         failures=failures,
         segments=segment_log,
-        sim=sim,
         tier_intervals=dict(tier_intervals),
         tier_writes=tier_writes,
         restores=restores,
         mitigations=mitigation_log,
+        log=log,
     )
     if metrics is not None:
         gauges = metrics.gauge(

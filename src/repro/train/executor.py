@@ -38,9 +38,10 @@ reported separately in :attr:`PipelineRun.per_rank_comm`.
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
+from repro.built_on_read import UNBUILT, BuiltOnRead
 from repro.obs.metrics import MetricsRegistry
 from repro.ordered_sum import ordered_sum
 from repro.pp.layout import PipelineLayout, StageAssignment
@@ -56,38 +57,6 @@ from repro.train.lowering import (
 )
 
 CostFn = Callable[[StageAssignment], StageCost]
-
-
-#: Value of a :class:`_BuiltOnRead` field that has not been built yet.
-_UNBUILT = object()
-
-
-class _BuiltOnRead:
-    """A dataclass field its owner computes on first read.
-
-    A value passed at construction (``None`` included) is kept as it is.
-    A field left unset holds ``_UNBUILT`` and is filled by the owner's
-    ``_build(name)`` the first time it is read.  Dataclasses route
-    descriptor-typed fields through ``__set__``/``__get__``; the
-    class-level read gives the default (``MISSING`` for a required one).
-    """
-
-    def __init__(self, required: bool = False) -> None:
-        self.default = MISSING if required else _UNBUILT
-
-    def __set_name__(self, owner: type, name: str) -> None:
-        self.name = name
-
-    def __get__(self, obj: object, owner: Optional[type] = None) -> object:
-        if obj is None:
-            return self.default
-        value = obj.__dict__[self.name]
-        if value is _UNBUILT:
-            value = obj.__dict__[self.name] = obj._build(self.name)
-        return value
-
-    def __set__(self, obj: object, value: object) -> None:
-        obj.__dict__[self.name] = value
 
 
 @dataclass(frozen=True)
@@ -120,11 +89,11 @@ class GraphExecution:
     graph: StepGraph
     #: Simulator holding the timeline: the one passed to
     #: :func:`execute_graph`, else a fresh one.
-    sim: Simulator = _BuiltOnRead()
+    sim: Simulator = BuiltOnRead()
     #: Trace event of every executed op, by uid, in submission order.
-    events: Dict[int, TraceEvent] = _BuiltOnRead()
+    events: Dict[int, TraceEvent] = BuiltOnRead()
     #: Synthesized exposed-P2P wait events, in emission order.
-    wait_events: Tuple[TraceEvent, ...] = _BuiltOnRead()
+    wait_events: Tuple[TraceEvent, ...] = BuiltOnRead()
     #: What the timeline is built from; None when the execution was
     #: assembled from events.
     timing: Optional[GraphTiming] = None
@@ -136,7 +105,7 @@ class GraphExecution:
             return None
         built = self.__dict__
         sim = built["sim"]
-        if sim is _UNBUILT:
+        if sim is UNBUILT:
             sim = Simulator()
         record = sim.record
         start, end, rank_of = timing.start, timing.end, timing.rank
@@ -397,7 +366,7 @@ class PipelineRun:
     schedule: PipelineSchedule
     #: Simulator holding the run's timeline (built on first read when
     #: the run summarises an :func:`execute_graph` given no simulator).
-    sim: Simulator = _BuiltOnRead(required=True)
+    sim: Simulator = BuiltOnRead(required=True)
     #: Latest end time across the run's own pipeline events (a step
     #: timeline's FSDP/optimizer tail is *not* included — see
     #: :class:`repro.train.step.StepReport` for the full-step time).
@@ -408,7 +377,7 @@ class PipelineRun:
     #: Compute event of every executed op, for timeline verification
     #: (:mod:`repro.verify.invariants` checks send-before-recv against
     #: these without parsing event names).
-    op_events: Optional[Dict[PipelineOp, TraceEvent]] = _BuiltOnRead()
+    op_events: Optional[Dict[PipelineOp, TraceEvent]] = BuiltOnRead()
     #: P2P latency the run was executed with; None when unknown (e.g. a
     #: PipelineRun assembled outside execute_pipeline).
     p2p_seconds: Optional[float] = None
@@ -515,7 +484,7 @@ def summarize_pipeline_execution(
         makespan = max(makespan, wait_end)
     return PipelineRun(
         schedule=schedule,
-        sim=_UNBUILT,
+        sim=UNBUILT,
         makespan=makespan,
         per_rank_busy=tuple(busy),
         p2p_seconds=p2p_seconds,

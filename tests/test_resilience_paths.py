@@ -87,14 +87,19 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _digests(case: dict) -> dict:
+def run_case(case: dict):
+    """Simulate one case of :data:`CASES`."""
     config = RunConfig(
         steps=case["steps"], mtbf_seconds=case["mtbf_seconds"],
         policy=parse_policy(case["policy"]), seed=case["seed"],
         elastic=case["elastic"], replacement_seconds=300.0,
         taxonomy=parse_taxonomy(case["taxonomy"]),
         mitigation=case["mitigation"])
-    result = simulate_run(LLAMA3_8B, JOB, CLUSTER, config)
+    return simulate_run(LLAMA3_8B, JOB, CLUSTER, config)
+
+
+def _digests(case: dict) -> dict:
+    result = run_case(case)
     report = resilience_report(result)
     for key in TAXONOMY_MIRROR_KEYS:
         del report["config"][key]

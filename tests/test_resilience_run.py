@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.resilience.run as run_module
 from repro.faults.goodput import exposed_comm_by_stream
 from repro.hardware.cluster import grand_teton
 from repro.model.config import LLAMA3_8B
@@ -170,6 +171,25 @@ class TestElasticReplanning:
         # Truncated in-flight work is still accounted for.
         assert sum(r.buckets.values()) == pytest.approx(
             r.elapsed_seconds, rel=1e-9)
+
+    def test_each_distinct_plan_is_priced_once(self, monkeypatch):
+        """24 and 16 GPUs both replan to the 16-GPU plan: it is priced
+        once, and each capacity keeps its own segment."""
+        priced = []
+        price_segment = run_module._price_segment
+
+        def counting(model, cluster, capacity_ngpu, plan):
+            priced.append(capacity_ngpu)
+            return price_segment(model, cluster, capacity_ngpu, plan)
+
+        monkeypatch.setattr(run_module, "_price_segment", counting)
+        cfg = RunConfig(steps=50, mtbf_seconds=5.0, policy=YoungDaly(),
+                        seed=0, elastic=True, taxonomy=NODE_LOSS_ONLY)
+        r = simulate_run(MODEL, JOB, CLUSTER, cfg)
+        assert [(s["capacity_ngpu"], s["plan_ngpu"]) for s in r.segments] \
+            == [(32, 32), (24, 16), (16, 16), (8, 8)]
+        assert priced == [32, 24, 8]
+        assert r.segments[1]["step_seconds"] == r.segments[2]["step_seconds"]
 
     def test_wait_for_replacement_keeps_the_fleet(self):
         cfg = RunConfig(steps=60, mtbf_seconds=200.0,
