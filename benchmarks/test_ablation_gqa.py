@@ -4,7 +4,8 @@ Section 4's first efficiency argument: "due to GQA, the number of KV heads
 is smaller than the number of heads, resulting in smaller K and V tensors
 compared to the Q tensor".  We sweep the GQA ratio at fixed model width
 and measure the exposed all-gather share and relative HFU of CP attention:
-with MHA-sized K/V the all-gather would cost ``gqa_ratio`` times more.
+with MHA-sized K/V the all-gather would cost ``n_heads / n_kv_heads`` times
+more.
 """
 
 from repro.cp.perf import AttentionShape, allgather_cp_perf

@@ -15,7 +15,6 @@ All three surface through the ``repro analyze`` CLI subcommand with the
 """
 
 from repro.analysis.critical_path import (
-    SLACK_EPS,
     CriticalPathReport,
     PathEntry,
     extract_critical_path,
@@ -34,7 +33,6 @@ from repro.analysis.streaming import (
 )
 
 __all__ = [
-    "SLACK_EPS",
     "CriticalPathReport",
     "PathEntry",
     "extract_critical_path",

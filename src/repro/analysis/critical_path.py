@@ -33,16 +33,11 @@ after small perturbations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.sim.engine import TraceEvent
 from repro.train.lowering import StepGraph
-
-#: Slack at or below this is reported as critical (float dust from the
-#: latest-finish arithmetic; the path walk itself is exact).
-SLACK_EPS = 1e-9
-
 
 @dataclass(frozen=True)
 class PathEntry:
@@ -142,18 +137,6 @@ class CriticalPathReport:
         return {s: v / self.makespan_seconds
                 for s, v in self.seconds_by_stream.items()}
 
-    def remap_ranks(self, rank_map: Mapping[int, int]) -> "CriticalPathReport":
-        """Entries with ranks rewritten (executor PP rank -> mesh rank)."""
-        return replace(
-            self,
-            entries=tuple(
-                replace(e, rank=rank_map.get(e.rank, e.rank))
-                for e in self.entries),
-            near_critical=tuple(
-                replace(e, rank=rank_map.get(e.rank, e.rank))
-                for e in self.near_critical),
-        )
-
     def to_dict(self, top: Optional[int] = 10) -> dict:
         """JSON-able summary; ``top`` bounds the per-op lists (the full
         chain stays available on :attr:`entries`)."""
@@ -248,7 +231,6 @@ def extract_critical_path(
     graph: StepGraph,
     events: Dict[int, TraceEvent],
     makespan: Optional[float] = None,
-    near_k: int = 25,
 ) -> CriticalPathReport:
     """Extract the makespan-bounding op chain of one executed step graph.
 
@@ -258,10 +240,10 @@ def extract_critical_path(
             ``StepReport.execution.events``.
         makespan: Step time to pin the chain against; defaults to the
             latest event end (exactly ``simulate_step``'s step_seconds).
-        near_k: How many lowest-slack off-path ops to surface.
 
-    The walk never raises on an inexact timeline (e.g. one executed with
-    external per-rank release times); it flags it via
+    The 25 lowest-slack off-path ops are surfaced as near-critical.  The
+    walk never raises on an inexact timeline (e.g. one executed into a
+    simulator whose streams were already busy); it flags it via
     :attr:`CriticalPathReport.exact` so callers — the
     ``critical-path-makespan`` invariant — can decide.
     """
@@ -328,7 +310,7 @@ def extract_critical_path(
     on_path = {e.uid for e in entries}
     near = sorted(
         (u for u in executed if u not in on_path),
-        key=lambda u: (slack[u], executed[u].start, u))[:near_k]
+        key=lambda u: (slack[u], executed[u].start, u))[:25]
     near_entries = tuple(
         PathEntry(
             uid=u, name=executed[u].name, kind=by_uid[u].kind.value,
@@ -348,7 +330,6 @@ def extract_critical_path(
 
 
 __all__ = [
-    "SLACK_EPS",
     "PathEntry",
     "CriticalPathReport",
     "extract_critical_path",

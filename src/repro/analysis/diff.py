@@ -20,7 +20,7 @@ rather than bucketed as a cause.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.ordered_sum import ordered_sum
 
@@ -151,11 +151,10 @@ class TraceDiff:
         out.sort(key=lambda b: (-b.delta_seconds, b.kind, b.stream))
         return out
 
-    def blame(self, threshold: float = 0.05,
-              top_ops: int = 3) -> List[DiffBucket]:
+    def blame(self, threshold: float = 0.05) -> List[DiffBucket]:
         """Buckets owning at least ``threshold`` of the total positive
         delta — the "responsible for >= X% of the regression" report."""
-        buckets = self.buckets(top_ops=top_ops)
+        buckets = self.buckets(top_ops=3)
         total = ordered_sum(
             b.delta_seconds for b in buckets if b.delta_seconds > 0)
         if total <= 0:

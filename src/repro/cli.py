@@ -895,16 +895,9 @@ def cmd_schedules(args: argparse.Namespace) -> int:
             print(e.kind)
         return 0
     if args.json:
-        _print_json({
-            "schema": "repro.schedules/v1",
-            "schedules": [
-                {"kind": e.kind, "family": e.family,
-                 "split_backward": e.split_backward,
-                 "aliases": list(e.aliases),
-                 "description": e.description}
-                for e in entries
-            ],
-        })
+        from repro.obs.report import schedules_report
+
+        _print_json(schedules_report(entries))
         return 0
     for e in entries:
         split = "split-backward" if e.split_backward else "fused-backward"

@@ -2,8 +2,9 @@
 
 Each CP rank owns two query chunks (head/tail sharding) and, before
 attention, **all-gathers the full K and V tensors** — cheap relative to Q
-because GQA makes K/V ``gqa_ratio`` times smaller, and the O(seq) gather is
-asymptotically dominated by the O(seq^2) attention (Section 4).
+because GQA makes K/V ``n_heads / n_kv_heads`` times smaller, and the
+O(seq) gather is asymptotically dominated by the O(seq^2) attention
+(Section 4).
 
 With the full K/V present, each rank computes its query rows against the
 complete key sequence under the exact mask.  The production kernel realises
@@ -25,7 +26,6 @@ from repro.attention.masks import causal_mask, document_mask
 from repro.attention.reference import attention_reference
 from repro.cp.sharding import rank_row_indices
 from repro.data.documents import DocumentBatch
-from repro.obs.metrics import MetricsRegistry
 
 
 @dataclass(frozen=True)
@@ -61,8 +61,6 @@ def allgather_cp_attention(
     v: np.ndarray,
     cp: int,
     batch: Optional[DocumentBatch] = None,
-    dtype_bytes: int = 2,
-    metrics: Optional[MetricsRegistry] = None,
 ) -> CpAttentionOutput:
     """Run attention as ``cp`` ranks would, and reassemble the output.
 
@@ -72,9 +70,6 @@ def allgather_cp_attention(
         v: (seq, n_kv_heads, head_dim) values.
         cp: Context-parallel degree.
         batch: Document structure; None means a full causal mask.
-        dtype_bytes: Wire element size for the communication accounting.
-        metrics: Registry to report per-rank all-gather counts, received
-            bytes, and computed score area into.
 
     The result is **bitwise identical** to single-device attention on the
     same rows: each rank computes exact softmax over its full allowed key
@@ -88,7 +83,7 @@ def allgather_cp_attention(
     out = np.zeros_like(q)
     lse = np.full((seq, q.shape[1]), -np.inf)
     stats: List[CpRankStats] = []
-    kv_bytes_total = 2 * seq * k.shape[1] * k.shape[2] * dtype_bytes
+    kv_bytes_total = 2 * seq * k.shape[1] * k.shape[2] * 2  # BF16 K and V
     for rank in range(cp):
         rows = rank_row_indices(seq, cp, rank)
         rank_mask = mask[rows, :]
@@ -103,20 +98,6 @@ def allgather_cp_attention(
                 allgather_bytes=kv_bytes_total * (cp - 1) / cp,
             )
         )
-    if metrics is not None:
-        ag_count = metrics.counter(
-            "cp.allgather.count", unit="collectives",
-            description="KV all-gathers performed, per CP rank")
-        ag_bytes = metrics.counter(
-            "cp.allgather.bytes", unit="B",
-            description="KV bytes received over all-gather, per CP rank")
-        area = metrics.counter(
-            "cp.score_area", unit="pairs",
-            description="allowed (q, k) pairs computed, per CP rank")
-        for s in stats:
-            ag_count.inc(1, rank=s.rank)
-            ag_bytes.inc(s.allgather_bytes, rank=s.rank)
-            area.inc(s.score_area, rank=s.rank)
     return CpAttentionOutput(out=out, lse=lse, per_rank=tuple(stats))
 
 

@@ -80,7 +80,6 @@ def allgather_cp_attention_backward(
     dout: np.ndarray,
     cp: int,
     batch: Optional[DocumentBatch] = None,
-    dtype_bytes: int = 2,
 ) -> CpBackwardOutput:
     """Distributed backward: per-rank partials, then ring-order
     reduce-scatter of dk/dv; dq needs no communication."""
@@ -100,7 +99,7 @@ def allgather_cp_attention_backward(
         dk += dk_p
         dv += dv_p
 
-    kv_bytes = 2.0 * seq * k.shape[1] * k.shape[2] * dtype_bytes
+    kv_bytes = 2.0 * seq * k.shape[1] * k.shape[2] * 2  # BF16 dK and dV
     return CpBackwardOutput(
         dq=dq, dk=dk, dv=dv,
         reduce_scatter_bytes_per_rank=kv_bytes * (cp - 1) / max(cp, 1),

@@ -206,10 +206,9 @@ def ring_cp_perf(
     seq: int,
     cp: int,
     shape: AttentionShape = AttentionShape(),
-    batch: Optional[DocumentBatch] = None,
 ) -> CpPerfResult:
-    """Ring (TE-style) CP attention: 2*cp partial kernels per rank with
-    P2P overlap and LSE merging.
+    """Ring (TE-style) CP attention under a causal mask: 2*cp partial
+    kernels per rank with P2P overlap and LSE merging.
 
     Per ring step the rank pays ``max(kernel_i, p2p)`` (communication is
     overlapped with computation) plus the merge's memory-bound rescale;
@@ -218,13 +217,13 @@ def ring_cp_perf(
     """
     if cp < 1:
         raise ValueError("cp must be >= 1")
-    single = single_gpu_attention_time(cluster.gpu, seq, shape, batch)
+    single = single_gpu_attention_time(cluster.gpu, seq, shape)
     if cp == 1:
         return CpPerfResult(
             cp=1, compute_seconds=single, comm_seconds=0.0,
             merge_seconds=0.0, single_gpu_seconds=single,
         )
-    starts = _row_starts(seq, batch)
+    starts = _row_starts(seq, None)
     bounds = chunk_bounds(seq, cp)
     link = cluster.group_link(list(range(cp)))
     chunk_bytes = _kv_total_bytes(seq, shape) / (2 * cp)

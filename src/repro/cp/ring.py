@@ -44,7 +44,6 @@ def ring_cp_attention(
     v: np.ndarray,
     cp: int,
     batch: Optional[DocumentBatch] = None,
-    dtype_bytes: int = 2,
 ) -> Tuple[CpAttentionOutput, RingStats]:
     """Ring attention over ``2 * cp`` circulating K/V chunks.
 
@@ -67,7 +66,7 @@ def ring_cp_attention(
     kernels = 0
     merge_elements = 0.0
 
-    kv_chunk_bytes = 2 * (seq / (2 * cp)) * k.shape[1] * head_dim * dtype_bytes
+    kv_chunk_bytes = 2 * (seq / (2 * cp)) * k.shape[1] * head_dim * 2  # BF16
 
     for rank in range(cp):
         rows = rank_row_indices(seq, cp, rank)

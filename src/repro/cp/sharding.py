@@ -141,15 +141,11 @@ def workload_imbalance(workloads: Sequence[int]) -> float:
     return max(workloads) / mean
 
 
-def naive_contiguous_workloads(
-    seq: int, cp: int, batch: Optional[DocumentBatch] = None
-) -> List[int]:
-    """Workloads of the naive sharding (rank i takes the i-th contiguous
-     1/cp slice) — the strawman the head/tail pairing improves on."""
-    per_row = (
-        attended_per_row_causal(seq) if batch is None
-        else batch.attended_per_row()
-    )
+def naive_contiguous_workloads(seq: int, cp: int) -> List[int]:
+    """Causal workloads of the naive sharding (rank i takes the i-th
+    contiguous 1/cp slice) — the strawman the head/tail pairing improves
+    on."""
+    per_row = attended_per_row_causal(seq)
     base, rem = divmod(seq, cp)
     out = []
     start = 0

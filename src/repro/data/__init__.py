@@ -17,7 +17,6 @@ from repro.data.documents import (
     DocumentBatch,
     sample_document_lengths,
     doc_ids_from_lengths,
-    eos_positions,
     make_batch,
 )
 
@@ -30,6 +29,5 @@ __all__ = [
     "DocumentBatch",
     "sample_document_lengths",
     "doc_ids_from_lengths",
-    "eos_positions",
     "make_batch",
 ]

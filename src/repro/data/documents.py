@@ -41,10 +41,6 @@ class DocumentBatch:
     def doc_ids(self) -> np.ndarray:
         return doc_ids_from_lengths(self.doc_lens)
 
-    @property
-    def eos(self) -> List[int]:
-        return eos_positions(self.doc_lens)
-
     def attended_per_row(self) -> np.ndarray:
         """Number of attended key positions for each query row under the
         document mask: ``i - doc_start(i) + 1``."""
@@ -61,7 +57,6 @@ def sample_document_lengths(
     mean_doc_len: float,
     rng: np.random.Generator,
     p_full_sequence: float = 0.0,
-    min_doc_len: int = 16,
     sigma: float = 0.0,
 ) -> List[int]:
     """Sample document lengths that partition a sequence.
@@ -71,8 +66,10 @@ def sample_document_lengths(
     deviation ``sigma``) — a heavy-tailed corpus where occasional very
     long documents span many CP chunks, the regime that drives the
     Section 7.3.2 fleet imbalance.  Either way lengths are clipped below
-    at ``min_doc_len`` and the final document absorbs the remainder.
+    at 16 tokens (``min_doc_len``) and the final document absorbs the
+    remainder.
     """
+    min_doc_len = 16
     if seq <= 0:
         raise ConfigError("seq must be positive")
     if mean_doc_len <= min_doc_len:
@@ -107,21 +104,11 @@ def doc_ids_from_lengths(doc_lens: Sequence[int]) -> np.ndarray:
     return np.repeat(np.arange(len(doc_lens)), np.asarray(doc_lens))
 
 
-def eos_positions(doc_lens: Sequence[int]) -> List[int]:
-    """Token indices of each document's final (end-of-sequence) token."""
-    out = []
-    total = 0
-    for l in doc_lens:
-        total += l
-        out.append(total - 1)
-    return out
-
 
 def make_batch(
     seq: int,
     mean_doc_len: Optional[float] = None,
     rng: Optional[np.random.Generator] = None,
-    p_full_sequence: float = 0.0,
 ) -> DocumentBatch:
     """Convenience constructor: a single-document batch when
     ``mean_doc_len`` is None, otherwise sampled documents."""
@@ -129,7 +116,5 @@ def make_batch(
         return DocumentBatch(seq=seq, doc_lens=(seq,))
     if rng is None:
         rng = np.random.default_rng(0)
-    lens = sample_document_lengths(
-        seq, mean_doc_len, rng, p_full_sequence=p_full_sequence
-    )
+    lens = sample_document_lengths(seq, mean_doc_len, rng)
     return DocumentBatch(seq=seq, doc_lens=tuple(lens))

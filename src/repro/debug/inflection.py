@@ -37,32 +37,28 @@ class Changepoint:
         return self.after_mean / self.before_mean - 1.0
 
 
-def detect_changepoint(
-    durations: Sequence[float],
-    min_segment: int = 5,
-    threshold: float = 6.0,
-) -> Optional[Changepoint]:
-    """Find the most likely changepoint in one duration series.
+#: Minimum steps on each side of a split.
+MIN_SEGMENT = 5
+#: Detection threshold on the normalised statistic (roughly a z-score; 6
+#: keeps false positives negligible on thousand-step series).
+THRESHOLD = 6.0
 
-    Args:
-        durations: Per-step durations of one rank.
-        min_segment: Minimum steps on each side of a split.
-        threshold: Detection threshold on the normalised statistic
-            (roughly a z-score; 6 keeps false positives negligible on
-            thousand-step series).
 
-    Returns None when no split clears the threshold.
+def detect_changepoint(durations: Sequence[float]) -> Optional[Changepoint]:
+    """Find the most likely changepoint in one rank's per-step durations.
+
+    Returns None when no split clears :data:`THRESHOLD`.
     """
     x = np.asarray(durations, dtype=np.float64)
     n = x.size
-    if n < 2 * min_segment:
+    if n < 2 * MIN_SEGMENT:
         return None
     best_score, best_split = 0.0, -1
     # Prefix sums for O(n) mean computation per split.
     csum = np.cumsum(x)
     csq = np.cumsum(x * x)
     total, total_sq = csum[-1], csq[-1]
-    for split in range(min_segment, n - min_segment + 1):
+    for split in range(MIN_SEGMENT, n - MIN_SEGMENT + 1):
         n1, n2 = split, n - split
         s1 = csum[split - 1]
         m1 = s1 / n1
@@ -73,7 +69,7 @@ def detect_changepoint(
         score = abs(m2 - m1) / pooled * np.sqrt(n1 * n2 / n)
         if score > best_score:
             best_score, best_split = score, split
-    if best_score < threshold or best_split < 0:
+    if best_score < THRESHOLD or best_split < 0:
         return None
     m1 = float(csum[best_split - 1] / best_split)
     m2 = float((total - csum[best_split - 1]) / (n - best_split))
@@ -83,20 +79,17 @@ def detect_changepoint(
 
 def detect_fleet_regressions(
     per_rank_durations: Dict[int, Sequence[float]],
-    min_segment: int = 5,
-    threshold: float = 6.0,
-    min_slowdown: float = 0.01,
 ) -> List[Changepoint]:
     """Scan every rank's series; return slow-onset changepoints, most
     severe first.
 
-    Only *slowdowns* beyond ``min_slowdown`` are reported (speed-ups are
-    usually recovery, not faults).
+    Only *slowdowns* of at least 1% are reported (speed-ups are usually
+    recovery, not faults).
     """
     found: List[Changepoint] = []
     for rank, series in per_rank_durations.items():
-        cp = detect_changepoint(series, min_segment, threshold)
-        if cp is not None and cp.slowdown >= min_slowdown:
+        cp = detect_changepoint(series)
+        if cp is not None and cp.slowdown >= 0.01:
             found.append(Changepoint(rank=rank, step=cp.step,
                                      before_mean=cp.before_mean,
                                      after_mean=cp.after_mean,
@@ -106,17 +99,16 @@ def detect_fleet_regressions(
 
 def synth_step_durations(
     steps: int,
-    base_seconds: float = 1.0,
     noise: float = 0.01,
     fault_step: Optional[int] = None,
     fault_slowdown: float = 0.1,
     rng: Optional[np.random.Generator] = None,
 ) -> np.ndarray:
-    """Synthetic per-step durations with an optional onset fault — the
-    test/bench workload generator for the detector."""
+    """Synthetic per-step durations around 1 s with an optional onset
+    fault — the test/bench workload generator for the detector."""
     if rng is None:
         rng = np.random.default_rng(0)
-    x = base_seconds * (1.0 + noise * rng.standard_normal(steps))
+    x = 1.0 + noise * rng.standard_normal(steps)
     if fault_step is not None:
         if not 0 <= fault_step < steps:
             raise ValueError("fault_step out of range")

@@ -17,7 +17,7 @@ to 4D parallelism:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.pp.schedule import OpKind, PipelineSchedule
 
@@ -49,15 +49,12 @@ class MemorySnapshot:
         self._events.append(AllocationEvent(time, tag, nbytes))
         self._live[tag] = self._live.get(tag, 0.0) + nbytes
 
-    def free(self, time: float, tag: str, nbytes: Optional[float] = None) -> None:
-        """Free ``nbytes`` of a tag (all of it by default) — the
-        resize-storage-to-zero trick frees without waiting for refcounts."""
+    def free(self, time: float, tag: str) -> None:
+        """Free all of a tag — the resize-storage-to-zero trick frees
+        without waiting for refcounts."""
         held = self._live.get(tag, 0.0)
-        amount = held if nbytes is None else nbytes
-        if amount - held > 1e-9:
-            raise ValueError(f"freeing more than held for tag {tag!r}")
-        self._events.append(AllocationEvent(time, tag, -amount))
-        self._live[tag] = held - amount
+        self._events.append(AllocationEvent(time, tag, -held))
+        self._live[tag] = 0.0
 
     @property
     def events(self) -> List[AllocationEvent]:

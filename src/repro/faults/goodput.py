@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.debug.workload import WorkloadSpec
 from repro.faults.detect import DetectionScore, score_detection
 from repro.faults.inject import InjectionReport
 from repro.faults.models import FaultPlan
@@ -108,7 +107,6 @@ def run_goodput(
     cluster: ClusterSpec,
     plan: FaultPlan,
     schedule_kind: str = "flexible",
-    workload_spec: WorkloadSpec = WorkloadSpec(),
     detect: bool = True,
     metrics: Optional[MetricsRegistry] = None,
 ) -> GoodputReport:
@@ -117,10 +115,10 @@ def run_goodput(
     Args:
         plan: The faults to inject (must be non-empty).
         schedule_kind: Pipeline schedule for both runs.
-        workload_spec: Shape of the synthetic workload the detection pass
-            runs on (the step graph itself has no per-global-rank trace).
-        detect: Run the Section 6.1 localisation loop; skipped anyway
-            above :data:`DETECTION_WORLD_LIMIT` global ranks.
+        detect: Run the Section 6.1 localisation loop on the default
+            synthetic workload (the step graph itself has no
+            per-global-rank trace); skipped anyway above
+            :data:`DETECTION_WORLD_LIMIT` global ranks.
         metrics: Registry the faulted step and the detection walk report
             into (step gauges, ``faults.injected_ops``, decision events).
 
@@ -141,8 +139,7 @@ def run_goodput(
 
     detection: Optional[DetectionScore] = None
     if detect and mesh.world_size <= DETECTION_WORLD_LIMIT:
-        detection, _ = score_detection(
-            mesh, plan, spec=workload_spec, metrics=metrics)
+        detection, _ = score_detection(mesh, plan, metrics=metrics)
 
     report = GoodputReport(
         plan=plan,

@@ -10,10 +10,12 @@ levels.  :class:`ClusterSpec` answers the one question cost models need:
 The node → rack → pod grouping is also the cluster's **failure topology**
 (Section 6): a leaf switch or rack PDU takes out every node in its rack at
 once, and pod-level events (spine maintenance, power domain trips) take out
-every rack in a pod.  :mod:`repro.resilience` consumes ``rack_of``/``pod_of``
-to model correlated fail-stop domains and to decide which checkpoint tiers
-survive which failures (a node-local checkpoint dies with its node; a
-peer-replica placed in the same rack dies with the rack).
+every rack in a pod.  :mod:`repro.resilience` reads ``nodes_per_rack`` and
+``racks_per_pod`` to size correlated fail-stop domains (a failure's slot
+among them is :meth:`repro.resilience.failures.FailureEvent.index`) and
+to decide which checkpoint tiers survive which failures (a node-local
+checkpoint dies with its node; a peer-replica placed in the same rack
+dies with the rack).
 """
 
 from __future__ import annotations
@@ -88,15 +90,6 @@ class ClusterSpec:
         self._check_rank(rank)
         return rank // self.gpus_per_node
 
-    def rack_of(self, node: int) -> int:
-        """Rack index hosting a node (the leaf failure domain)."""
-        self._check_node(node)
-        return node // self.nodes_per_rack
-
-    def pod_of(self, node: int) -> int:
-        """Pod index hosting a node (the spine failure domain)."""
-        return self.rack_of(node) // self.racks_per_pod
-
     def link_between(self, rank_a: int, rank_b: int) -> LinkSpec:
         """Link class connecting two global ranks."""
         if self.node_of(rank_a) == self.node_of(rank_b):
@@ -140,11 +133,6 @@ class ClusterSpec:
                 f"rank {rank} out of range for cluster of {self.num_gpus} GPUs"
             )
 
-    def _check_node(self, node: int) -> None:
-        if not 0 <= node < self.num_nodes:
-            raise ValueError(
-                f"node {node} out of range for cluster of "
-                f"{self.num_nodes} nodes")
 
 
 def grand_teton(num_gpus: int, gpu: GpuSpec = H100_HBM3) -> ClusterSpec:

@@ -90,15 +90,15 @@ B200 = GpuSpec(
 )
 
 
-def relative_compute_scale(gpu: GpuSpec, reference: GpuSpec = H100_HBM3) -> float:
-    """Compute-time multiplier of ``gpu`` relative to ``reference``.
+def relative_compute_scale(gpu: GpuSpec) -> float:
+    """Compute-time multiplier of ``gpu`` relative to the H100.
 
     A slower part gets a multiplier > 1 (its ops take longer); a faster
     part < 1.  This is what heterogeneous pipeline stages
     (:mod:`repro.pp.heterogeneity`) attach to a
     :class:`~repro.pp.analysis.ScheduleShape` as per-stage compute scale.
     """
-    return reference.peak_bf16_tflops / gpu.peak_bf16_tflops
+    return H100_HBM3.peak_bf16_tflops / gpu.peak_bf16_tflops
 
 
 def gemm_efficiency(m: int, n: int, k: int) -> float:
@@ -129,17 +129,14 @@ def gemm_time(
     m: int,
     n: int,
     k: int,
-    dtype_bytes: int = 2,
-    include_launch: bool = True,
 ) -> float:
-    """Seconds to run a single (m x k) @ (k x n) GEMM on ``gpu``.
+    """Seconds to run a single BF16 (m x k) @ (k x n) GEMM on ``gpu``.
 
     Combines the shape-efficiency curve with a memory roofline over the
     three operand tensors, plus a fixed kernel-launch overhead.
     """
     flops = 2.0 * m * n * k
-    bytes_moved = dtype_bytes * (m * k + k * n + m * n)
+    bytes_moved = 2 * (m * k + k * n + m * n)
     compute_time = flops / (gpu.peak_flops * gemm_efficiency(m, n, k))
     memory_time = bytes_moved / gpu.hbm_bandwidth
-    launch = gpu.kernel_launch_us * 1e-6 if include_launch else 0.0
-    return max(compute_time, memory_time) + launch
+    return max(compute_time, memory_time) + gpu.kernel_launch_us * 1e-6

@@ -51,15 +51,13 @@ def hbm_capacity_sweep(
     job: "JobConfig",
     cluster: ClusterSpec,
     capacities_gb: Sequence[float],
-    tp_candidates: Sequence[int] = (2, 4, 8),
-    pp_candidates: Sequence[int] = (2, 4, 8),
     v: Optional[int] = None,
-    headroom: float = 0.9,
 ) -> List[CapacityPoint]:
-    """For each HBM capacity, the best feasible (tp, pp) by TFLOPs.
+    """For each HBM capacity, the best feasible (tp, pp) by TFLOPs, over
+    tp and pp in (2, 4, 8).
 
     A configuration is feasible when its simulated peak memory fits in
-    ``capacity * headroom``; one whose simulation fails never is.  Larger
+    90% of the capacity; one whose simulation fails never is.  Larger
     HBM admits smaller TP degrees (less exposed TP communication) — the
     Section 8.1 effect.
     """
@@ -71,10 +69,10 @@ def hbm_capacity_sweep(
     # The simulated step does not depend on the capacity: price each
     # layout once, then gate the same candidates at every capacity.
     simulated = []
-    for tp in tp_candidates:
+    for tp in (2, 4, 8):
         if tp > cluster.gpus_per_node:
             continue
-        for pp in pp_candidates:
+        for pp in (2, 4, 8):
             dp = job.ngpu // (tp * pp)
             if dp < 1 or tp * pp * dp != job.ngpu or job.gbs % dp != 0:
                 continue
@@ -84,7 +82,7 @@ def hbm_capacity_sweep(
                 par, job, kind="flexible", v=v)))
     points = []
     for cap in capacities_gb:
-        best = sorted((within_budget(c, cap * headroom) for c in simulated), key=rank_key)
+        best = sorted((within_budget(c, cap * 0.9) for c in simulated), key=rank_key)
         points.append(
             CapacityPoint(cap, best[0].tp, best[0].pp, best[0].tflops_per_gpu,
                           best[0].simulated_peak_gb)
@@ -113,24 +111,23 @@ class JitterReport:
 
 def dvfs_jitter_inflation(
     world_size: int,
-    sync_points: int = 1000,
-    op_seconds: float = 1e-3,
-    slowdown_mean: float = 0.02,
     rng: Optional[np.random.Generator] = None,
 ) -> JitterReport:
     """Elapsed time of a synchronous workload under DVFS variation.
 
-    Every sync point (a collective) runs at the pace of the slowest of
-    ``world_size`` accelerators.  *Deterministic* slowdown: every op on
-    every rank is uniformly ``slowdown_mean`` slower — elapsed inflates by
-    exactly that mean.  *Transient jitter*: each rank's op is slowed by an
-    exponential with the same mean, at different times on different ranks
-    — the per-sync max makes the cluster pay the tail, not the mean.
+    1000 sync points (collectives) of 1 ms ops each run at the pace of
+    the slowest of ``world_size`` accelerators.  *Deterministic*
+    slowdown: every op on every rank is uniformly 2% slower — elapsed
+    inflates by exactly that mean.  *Transient jitter*: each rank's op is
+    slowed by an exponential with the same mean, at different times on
+    different ranks — the per-sync max makes the cluster pay the tail,
+    not the mean.
     """
-    if world_size < 1 or sync_points < 1:
-        raise ValueError("world_size and sync_points must be >= 1")
+    if world_size < 1:
+        raise ValueError("world_size must be >= 1")
     if rng is None:
         rng = np.random.default_rng(0)
+    sync_points, op_seconds, slowdown_mean = 1000, 1e-3, 0.02
     baseline = sync_points * op_seconds
     deterministic = sync_points * op_seconds * (1.0 + slowdown_mean)
     jitter_draws = rng.exponential(

@@ -78,12 +78,6 @@ class TextModelConfig:
         """Width of the K (or V) projection output."""
         return self.n_kv_heads * self.head_dim
 
-    @property
-    def gqa_ratio(self) -> int:
-        """Query heads per KV head; the factor by which K/V tensors are
-        smaller than Q — the reason all-gather CP is cheap (Section 4)."""
-        return self.n_heads // self.n_kv_heads
-
     def with_layers(self, n_layers: int) -> "TextModelConfig":
         """Same architecture with a different layer count (Section 7.1
         scaled-down models; Section 3.1.2 balanced-PP co-design)."""
@@ -94,16 +88,14 @@ class TextModelConfig:
         self,
         n_experts: int,
         top_k: int = 2,
-        capacity_factor: float = 1.25,
     ) -> "TextModelConfig":
         """The MoE counterpart of this architecture: every dense FFN is
         replaced by ``n_experts`` experts of the same ``ffn_hidden``
         width with top-``k`` routing (the `repro step --experts N`
-        surface)."""
+        surface); the capacity factor stays this config's."""
         if n_experts < 1:
             raise ValueError("n_experts must be >= 1 for an MoE variant")
         return replace(self, n_experts=n_experts, top_k=top_k,
-                       capacity_factor=capacity_factor,
                        name=f"{self.name}-moe{n_experts}e")
 
 

@@ -56,9 +56,9 @@ def activation_bytes_per_layer(
     mbs: int = 1,
     tp: int = 1,
     cp: int = 1,
-    dtype_bytes: int = BF16_BYTES,
 ) -> ActivationBreakdown:
-    """Saved-activation bytes for one layer and one micro-batch.
+    """Saved-activation bytes for one layer and one micro-batch, BF16
+    activations with FP32 softmax statistics.
 
     Args:
         cfg: Model architecture.
@@ -66,34 +66,29 @@ def activation_bytes_per_layer(
         mbs: Micro-batch size (sequences per micro-batch).
         tp: Tensor-parallel degree (with sequence parallelism).
         cp: Context-parallel degree (shards the sequence dimension).
-        dtype_bytes: Activation element size (BF16 by default).
     """
     if seq <= 0 or mbs <= 0 or tp <= 0 or cp <= 0:
         raise ValueError("seq, mbs, tp, cp must all be positive")
     tokens = seq * mbs / cp / tp
     d, kv = cfg.dim, cfg.kv_dim
     return ActivationBreakdown(
-        attn_inputs=dtype_bytes * tokens * d,
-        qkv=dtype_bytes * tokens * (d + 2 * kv),
-        attn_output=dtype_bytes * tokens * d,
+        attn_inputs=BF16_BYTES * tokens * d,
+        qkv=BF16_BYTES * tokens * (d + 2 * kv),
+        attn_output=BF16_BYTES * tokens * d,
         softmax_stats=FP32_BYTES * tokens * cfg.n_heads,
-        ffn_inputs=dtype_bytes * tokens * d,
-        ffn_hidden=dtype_bytes * tokens * 2 * cfg.ffn_hidden,
+        ffn_inputs=BF16_BYTES * tokens * d,
+        ffn_hidden=BF16_BYTES * tokens * 2 * cfg.ffn_hidden,
     )
 
 
-def embedding_bytes(
-    cfg: TextModelConfig, tp: int = 1, dtype_bytes: int = BF16_BYTES
-) -> float:
-    """Bytes of the input embedding on one TP rank (row-sharded)."""
-    return dtype_bytes * embedding_params(cfg) / tp
+def embedding_bytes(cfg: TextModelConfig, tp: int = 1) -> float:
+    """BF16 bytes of the input embedding on one TP rank (row-sharded)."""
+    return BF16_BYTES * embedding_params(cfg) / tp
 
 
-def output_head_bytes(
-    cfg: TextModelConfig, tp: int = 1, dtype_bytes: int = BF16_BYTES
-) -> float:
-    """Bytes of the output head on one TP rank (column-sharded)."""
-    return dtype_bytes * output_head_params(cfg) / tp
+def output_head_bytes(cfg: TextModelConfig, tp: int = 1) -> float:
+    """BF16 bytes of the output head on one TP rank (column-sharded)."""
+    return BF16_BYTES * output_head_params(cfg) / tp
 
 
 def optimizer_state_bytes_per_param() -> int:

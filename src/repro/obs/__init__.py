@@ -39,7 +39,6 @@ from repro.obs.trace import (
 )
 
 _REPORT_NAMES = (
-    "SCHEMA_VERSION",
     "plan_report",
     "step_report",
     "step_group_metrics",

@@ -56,9 +56,6 @@ class _Metric:
     unit: str
     description: str
 
-    def sample_rows(self) -> List[dict]:  # pragma: no cover - abstract
-        raise NotImplementedError
-
 
 @dataclass
 class Counter(_Metric):
@@ -74,12 +71,6 @@ class Counter(_Metric):
 
     def value(self, **labels: object) -> float:
         return self.values.get(_labelset(labels), 0.0)
-
-    def sample_rows(self) -> List[dict]:
-        return [
-            {"labels": dict(k), "value": v}
-            for k, v in sorted(self.values.items())
-        ]
 
 
 @dataclass
@@ -101,12 +92,6 @@ class Gauge(_Metric):
         if key not in self.values:
             raise KeyError(f"gauge {self.name!r} has no sample for {key}")
         return self.values[key]
-
-    def sample_rows(self) -> List[dict]:
-        return [
-            {"labels": dict(k), "value": v}
-            for k, v in sorted(self.values.items())
-        ]
 
 
 @dataclass
@@ -149,25 +134,6 @@ class Histogram(_Metric):
             summary = self.values[key] = HistogramSummary()
         for value in values:
             summary.observe(float(value))
-
-    def summary(self, **labels: object) -> HistogramSummary:
-        key = _labelset(labels)
-        if key not in self.values:
-            raise KeyError(f"histogram {self.name!r} has no sample for {key}")
-        return self.values[key]
-
-    def sample_rows(self) -> List[dict]:
-        return [
-            {
-                "labels": dict(k),
-                "count": s.count,
-                "sum": s.total,
-                "min": s.min,
-                "max": s.max,
-                "mean": s.mean,
-            }
-            for k, s in sorted(self.values.items())
-        ]
 
 
 _REDUCERS: Dict[str, Callable[[List[float]], float]] = {
@@ -231,21 +197,6 @@ class MetricsRegistry:
 
     def names(self) -> List[str]:
         return sorted(self._metrics)
-
-    def snapshot(self) -> dict:
-        """JSON-able dump of every family, samples sorted by labels."""
-        return {
-            "metrics": {
-                name: {
-                    "kind": m.kind,
-                    "unit": m.unit,
-                    "description": m.description,
-                    "samples": m.sample_rows(),
-                }
-                for name, m in sorted(self._metrics.items())
-            },
-            "events": list(self.events),
-        }
 
     # -- mesh aggregation -----------------------------------------------
 
@@ -418,18 +369,14 @@ def _merged_intervals(spans) -> List[Tuple[float, float]]:
     return merged
 
 
-def record_comm_overlap_metrics(
-    sim: Simulator,
-    registry: Optional[MetricsRegistry] = None,
-    rank_map: Optional[Dict[int, int]] = None,
-) -> MetricsRegistry:
+def record_comm_overlap_metrics(sim: Simulator) -> MetricsRegistry:
     """Per-stream overlapped-vs-exposed communication accounting.
 
     For every rank and comm stream, splits each ``comm``-kind event's span
     into the part covered by that rank's compute events (overlapped — the
     Section 7.3.1 goal state) and the remainder (exposed on the timeline,
-    even if nothing explicitly waited on it).  Writes, labeled by (mapped)
-    rank and stream:
+    even if nothing explicitly waited on it).  Writes into a fresh
+    registry, labeled by rank and stream:
 
     * ``comm.total_seconds`` — comm-event span time;
     * ``comm.overlapped_seconds`` — the part hidden under compute;
@@ -444,8 +391,7 @@ def record_comm_overlap_metrics(
     all-pairs one, at O((comm + compute) log compute) per rank instead of
     O(comm x compute).
     """
-    registry = registry or MetricsRegistry()
-    rank_map = rank_map or {}
+    registry = MetricsRegistry()
     total = registry.gauge(
         "comm.total_seconds", unit="s",
         description="comm time per rank and stream")
@@ -471,9 +417,8 @@ def record_comm_overlap_metrics(
             )
             tot_s, ov_s = by_stream.get(event.stream, (0.0, 0.0))
             by_stream[event.stream] = (tot_s + event.duration, ov_s + hidden)
-        label = rank_map.get(rank, rank)
         for stream, (tot_s, ov_s) in sorted(by_stream.items()):
-            total.set(tot_s, rank=label, stream=stream)
-            overlapped.set(ov_s, rank=label, stream=stream)
-            exposed.set(tot_s - ov_s, rank=label, stream=stream)
+            total.set(tot_s, rank=rank, stream=stream)
+            overlapped.set(ov_s, rank=rank, stream=stream)
+            exposed.set(tot_s - ov_s, rank=rank, stream=stream)
     return registry

@@ -1,10 +1,12 @@
 """Machine-readable run reports with a stable schema.
 
 Every builder returns a plain JSON-able dict whose first key is
-``"schema"`` — a ``repro.<what>/v<N>`` tag that only changes when a field
-is renamed or removed (adding fields is backwards-compatible).  These are
-the payloads behind the CLI ``--json`` flags and the format future
-regression tracking in ``benchmarks/`` diffs against.
+``"schema"`` — a ``repro.<what>/v<N>`` tag, written as a literal in the
+builder itself, that only changes when one of *that report's* fields is
+renamed, removed or changes meaning (adding fields is
+backwards-compatible).  These are the payloads behind the CLI ``--json``
+flags and the format future regression tracking in ``benchmarks/``
+diffs against.
 
 The step report folds in the metrics-registry view: per-rank busy/idle/
 exposed-comm seconds and bubble ratios, rolled up per (dp, pp, ep, cp,
@@ -20,6 +22,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.faults.goodput import GoodputReport
+    from repro.pp.registry import ScheduleEntry
     from repro.resilience.run import RunResult
     from repro.verify.campaign import CampaignResult
     from repro.verify.oracles import OracleResult
@@ -37,16 +40,6 @@ from repro.parallel.mesh import DIM_ORDER, DeviceMesh
 from repro.parallel.planner import Plan
 from repro.train.phases import PhaseReport
 from repro.train.step import StepReport
-
-#: Bumped when any report's existing fields change shape or meaning.
-#: v2: step busy became compute-only (comm reported separately per kind),
-#: and step time became the executed timeline's makespan.
-SCHEMA_VERSION = 2
-
-
-def _schema(name: str) -> str:
-    return f"repro.{name}/v{SCHEMA_VERSION}"
-
 
 def _parallel_dict(parallel: ParallelConfig) -> dict:
     return {
@@ -73,7 +66,7 @@ def _job_dict(job: JobConfig) -> dict:
 def plan_report(plan: Plan) -> dict:
     """The Section 5 planner outcome plus its reasoning trail."""
     return {
-        "schema": _schema("plan"),
+        "schema": "repro.plan/v2",
         "parallel": _parallel_dict(plan.parallel),
         "job": _job_dict(plan.job),
         "bs": plan.bs,
@@ -125,7 +118,9 @@ def step_report(
     """One simulated optimizer step: headline numbers, per-rank detail,
     and mesh-group metric aggregates."""
     return {
-        "schema": _schema("step"),
+        # v2: busy became compute-only (comm reported per kind) and step
+        # time the executed timeline's makespan.
+        "schema": "repro.step/v2",
         "parallel": _parallel_dict(parallel),
         "job": _job_dict(job),
         "schedule": rep.schedule,
@@ -156,7 +151,7 @@ def step_report(
 def phases_report(reports: Sequence[PhaseReport]) -> dict:
     """The pre-training progression (Section 2.2 / Table 2)."""
     return {
-        "schema": _schema("phases"),
+        "schema": "repro.phases/v2",
         "phases": [
             {
                 "name": r.phase.name,
@@ -186,7 +181,7 @@ def _array_summary(a: np.ndarray) -> dict:
 def imbalance_report(rep: FleetImbalanceReport) -> dict:
     """Figure 14 fleet-imbalance statistics."""
     return {
-        "schema": _schema("imbalance"),
+        "schema": "repro.imbalance/v2",
         "n_gpus": int(rep.compute_seconds.size),
         "elapsed_seconds": rep.elapsed_seconds,
         "slowest_over_fastest_compute": rep.slowest_over_fastest_compute,
@@ -218,7 +213,7 @@ def faults_report(gp: "GoodputReport", parallel: ParallelConfig,
         }
 
     return {
-        "schema": _schema("faults"),
+        "schema": "repro.faults/v2",
         "parallel": _parallel_dict(parallel),
         "job": _job_dict(job),
         "plan": gp.plan.describe(),
@@ -240,11 +235,8 @@ def faults_report(gp: "GoodputReport", parallel: ParallelConfig,
 def resilience_report(result: "RunResult") -> dict:
     """Goodput-over-wallclock outcome of one multi-step resilient run.
 
-    Schema ``repro.resilience/v2`` is pinned independently of the global
-    :data:`SCHEMA_VERSION`: the resilience subsystem's golden
-    (``tests/golden/resilience_run.json``) byte-compares this builder's
-    output, so the tag only moves when *these* fields change shape — not
-    when the step/plan reports evolve.  v2 added the failure taxonomy,
+    The resilience subsystem's golden (``tests/golden/resilience_run.json``)
+    byte-compares this builder's output.  v2 added the failure taxonomy,
     tiered checkpointing (per-tier intervals, write counts, restore
     choices), and the detect–mitigate decision log; a legacy iid/
     fail-stop/remote-only config reproduces every v1 number exactly
@@ -341,11 +333,9 @@ def analysis_report(
 ) -> dict:
     """Trace-analytics outcome: critical path, run diff, or ingestion.
 
-    Schema ``repro.analysis/v1`` is pinned independently of the global
-    :data:`SCHEMA_VERSION` (same convention as ``repro.resilience/v2``):
-    the analytics subsystem shipped against v1 and its golden
-    (``tests/golden/analysis_step.json``) byte-compares this builder's
-    output.  Sections are present only when their analysis ran:
+    The analytics golden (``tests/golden/analysis_step.json``)
+    byte-compares this builder's output.  Sections are present only when
+    their analysis ran:
     ``critical_path`` (a
     :class:`repro.analysis.critical_path.CriticalPathReport`), ``diff``
     (a :class:`repro.analysis.diff.TraceDiff`), and ``ingest`` (a
@@ -363,6 +353,21 @@ def analysis_report(
     if ingest is not None:
         out["ingest"] = ingest.to_dict()
     return out
+
+
+def schedules_report(entries: Sequence["ScheduleEntry"]) -> dict:
+    """Every registered pipeline schedule with its registry metadata —
+    the single source of the ``--schedule`` choices."""
+    return {
+        "schema": "repro.schedules/v1",
+        "schedules": [
+            {"kind": e.kind, "family": e.family,
+             "split_backward": e.split_backward,
+             "aliases": list(e.aliases),
+             "description": e.description}
+            for e in entries
+        ],
+    }
 
 
 def verify_report(
@@ -396,7 +401,7 @@ def verify_report(
     if step_invariants is not None:
         ok = ok and step_invariants.get("ok", False)
     out = {
-        "schema": _schema("verify"),
+        "schema": "repro.verify/v2",
         "ok": ok,
         "oracles": oracle_dicts,
     }

@@ -11,7 +11,7 @@ expert-parallel axis for MoE variants:
 ``mbs``   micro-batch size in pipeline stage execution
 ``dp/tp/cp/pp``  GPUs in one data/tensor/context/pipeline parallel group
 ``ep``    GPUs sharing one expert-parallel group (MoE all-to-all domain)
-``ndp``   number of data-parallel groups
+``ndp``   number of data-parallel groups (``dp`` here)
 ``v``     number of virtual stages on one PP rank
 ``nc``    consecutive micro-batches per virtual stage per round
 ``nmb``   micro-batches per virtual stage
@@ -65,11 +65,6 @@ class ParallelConfig:
     @property
     def world_size(self) -> int:
         return self.tp * self.cp * self.ep * self.pp * self.dp
-
-    @property
-    def ndp(self) -> int:
-        """Number of data-parallel groups (= dp)."""
-        return self.dp
 
     @property
     def grad_shard_degree(self) -> int:

@@ -70,7 +70,6 @@ def estimate_rank_memory(
     virtual_stages: int = 1,
     has_embedding: bool = False,
     has_output_head: bool = False,
-    recompute: bool = False,
 ) -> RankMemory:
     """Peak memory for one PP rank.
 
@@ -88,8 +87,6 @@ def estimate_rank_memory(
             gathered-parameter windows under ZeRO-2/3.
         has_embedding: Whether this rank hosts the input embedding.
         has_output_head: Whether this rank hosts the output projection.
-        recompute: Full activation recomputation — only each layer's input
-            is saved; the rest is recomputed in backward.
     """
     if layers_on_rank < 0 or in_flight_microbatches < 0:
         raise ValueError("layers_on_rank and in_flight_microbatches must be >= 0")
@@ -128,17 +125,7 @@ def estimate_rank_memory(
         model, seq=job.seq, mbs=job.mbs, tp=tp, cp=cp
     )
     layers_per_stage = layers_on_rank / virtual_stages
-    if recompute:
-        # Only each layer's input survives; one layer's full set is alive
-        # transiently during its recomputed backward.
-        tokens = job.seq * job.mbs / cp / tp
-        per_layer_saved = BF16_BYTES * tokens * model.dim
-        activations = (
-            in_flight_microbatches * layers_per_stage * per_layer_saved
-            + act.total
-        )
-    else:
-        activations = in_flight_microbatches * layers_per_stage * act.total
+    activations = in_flight_microbatches * layers_per_stage * act.total
 
     # Embedding / output head (BF16 weights + FP32 grads, TP-sharded).
     extra = 0.0

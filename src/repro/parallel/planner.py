@@ -68,11 +68,11 @@ class Plan:
         return "\n".join(lines)
 
 
-def arithmetic_intensity_2d(seq: int, dtype_bytes: int = 2) -> float:
+def arithmetic_intensity_2d(seq: int) -> float:
     """FLOPs per FSDP-ZeRO-3 communication byte at batch size 1 (Section
-    5.1): each parameter costs ``dtype_bytes`` on the wire and contributes
+    5.1): each parameter costs 2 bytes (BF16) on the wire and contributes
     2 FLOPs per token in forward."""
-    return 2.0 * seq / dtype_bytes
+    return 2.0 * seq / 2
 
 
 def hardware_flops_per_byte(cluster: ClusterSpec) -> float:
@@ -239,8 +239,6 @@ def replan_for_gpu_count(
     job: JobConfig,
     cluster: ClusterSpec,
     max_ngpu: int,
-    max_pp: int = 64,
-    cost_aware: bool = False,
 ) -> Plan:
     """Replan after permanent capacity loss: the elastic-restart path.
 
@@ -268,8 +266,7 @@ def replan_for_gpu_count(
         shrunk_job = replace(job, ngpu=ngpu)
         shrunk_cluster = replace(cluster, num_nodes=nodes)
         try:
-            plan = plan_parallelism(model, shrunk_job, shrunk_cluster,
-                                    max_pp=max_pp, cost_aware=cost_aware)
+            plan = plan_parallelism(model, shrunk_job, shrunk_cluster)
             # A plan is only usable if the schedule can actually split
             # the batch into whole micro-batches.
             shrunk_job.micro_batches(plan.parallel)

@@ -13,7 +13,7 @@ from repro.pp.analysis import (
 )
 
 from repro.pp.autotune import AUTOTUNE_KINDS, autotune_schedule, best_schedule
-from repro.pp.render import render_program, render_timeline
+from repro.pp.render import render_timeline
 from repro.pp.multimodal_schedule import (
     MultimodalPipelineResult,
     stage_costs,
@@ -53,7 +53,6 @@ __all__ = [
     "mixed_gpu_stage_scale",
     "stage_profile",
     "vit_encoder_stage_scale",
-    "render_program",
     "MultimodalPipelineResult",
     "stage_costs",
     "simulate_multimodal_pipeline",

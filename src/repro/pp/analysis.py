@@ -208,14 +208,6 @@ class ScheduleShape:
         """Rounds of nc consecutive micro-batches per virtual stage."""
         return self.nmb // self.nc
 
-    @property
-    def ideal_bubble_ratio(self) -> float:
-        return bubble_ratio(self.pp, self.nmb, self.v)
-
-    def warmup(self, ppr: int) -> int:
-        return warmup_microbatches(self.pp, ppr, self.v, self.nc)
-
-    def peak_in_flight(self, ppr: int, all_forward_all_backward: bool = False) -> int:
+    def peak_in_flight(self, ppr: int) -> int:
         return peak_in_flight_microbatches(
-            self.pp, ppr, self.v, self.nc, self.nmb, all_forward_all_backward
-        )
+            self.pp, ppr, self.v, self.nc, self.nmb)

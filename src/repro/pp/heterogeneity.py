@@ -24,21 +24,20 @@ from repro.hardware.gpu import B200, GpuSpec, H100_HBM3, H200, relative_compute_
 def mixed_gpu_stage_scale(
     rank_gpus: Sequence[GpuSpec],
     v: int,
-    reference: GpuSpec = H100_HBM3,
 ) -> Tuple[float, ...]:
     """Per-global-stage compute scale for a pipeline over mixed parts.
 
     ``rank_gpus[ppr]`` is the part hosting pipeline rank ``ppr``; with
     ``v`` virtual stages per rank, global stage ``s`` lives on rank
     ``s % pp`` (the Figure 2 interleaving), so its scale is that rank's
-    part relative to ``reference``.
+    part relative to the H100.
     """
     pp = len(rank_gpus)
     if pp < 1:
         raise ValueError("rank_gpus must name at least one part")
     if v < 1:
         raise ValueError(f"v must be >= 1; got v={v}")
-    per_rank = [relative_compute_scale(gpu, reference) for gpu in rank_gpus]
+    per_rank = [relative_compute_scale(gpu) for gpu in rank_gpus]
     return tuple(per_rank[s % pp] for s in range(pp * v))
 
 
@@ -52,30 +51,16 @@ def mixed_fleet_preset(pp: int, v: int) -> Tuple[float, ...]:
     )
 
 
-def vit_encoder_stage_scale(
-    pp: int,
-    v: int,
-    encoder_stages: int = 1,
-    encoder_scale: float = 0.55,
-) -> Tuple[float, ...]:
+def vit_encoder_stage_scale(pp: int, v: int) -> Tuple[float, ...]:
     """Per-global-stage scale for a ViT-encoder-headed pipeline.
 
-    The first ``encoder_stages`` global stages hold the vision encoder,
-    whose per-stage FLOPs are lighter than a language stage's (the
-    multimodal sharding study models the encoder at roughly half a
-    language stage; 0.55 matches its defaults).  Remaining stages are
-    uniform language stages at scale 1.0.
+    The first global stage holds the vision encoder, whose FLOPs are
+    lighter than a language stage's (the multimodal sharding study
+    models the encoder at roughly half a language stage; 0.55 matches
+    its defaults).  Remaining stages are uniform language stages at
+    scale 1.0.
     """
-    n_stages = pp * v
-    if not 0 <= encoder_stages <= n_stages:
-        raise ValueError(
-            f"encoder_stages must be in [0, {n_stages}]; got {encoder_stages}"
-        )
-    if not encoder_scale > 0.0:
-        raise ValueError(f"encoder_scale must be > 0; got {encoder_scale}")
-    return tuple(
-        encoder_scale if s < encoder_stages else 1.0 for s in range(n_stages)
-    )
+    return tuple(0.55 if s == 0 else 1.0 for s in range(pp * v))
 
 
 #: Named stage-profile presets usable anywhere a profile is accepted.

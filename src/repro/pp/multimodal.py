@@ -93,9 +93,9 @@ def evaluate_encoder_sharding(
     bs: int,
     pp: int,
     cluster: ClusterSpec,
-    images_per_sample: int = 1,
 ) -> EncoderShardingResult:
-    """Step-time decomposition of one sharding option for one DP group.
+    """Step-time decomposition of one sharding option for one DP group
+    (one image per sample).
 
     The text-pipeline term is identical across options; what changes is
     whether the encoder's ``bs`` images run serially on one rank (Options
@@ -104,7 +104,7 @@ def evaluate_encoder_sharding(
     """
     if bs < 1 or pp < 1:
         raise ValueError("bs and pp must be >= 1")
-    n_images = bs * images_per_sample
+    n_images = bs
     per_image = vision_step_flops(mm.vision) / _sustained_flops(cluster)
     nmb = bs
     text_seconds = _text_stack_seconds(mm, bs, pp, nmb, cluster)

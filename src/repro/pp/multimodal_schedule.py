@@ -90,9 +90,9 @@ def simulate_multimodal_pipeline(
     pp: int,
     nmb: int,
     cluster: ClusterSpec,
-    p2p_seconds: float = 50e-6,
 ) -> MultimodalPipelineResult:
-    """Execute one grouping's pipeline and return measured metrics."""
+    """Execute one grouping's pipeline (50 us P2P hand-offs) and return
+    measured metrics."""
     from repro.train.cost import StageCost
     from repro.train.executor import execute_pipeline
 
@@ -112,7 +112,7 @@ def simulate_multimodal_pipeline(
         schedule, layout,
         lambda stage: StageCost(fwd[stage.stage], 0.0, 0.0),
         lambda stage: StageCost(bwd[stage.stage], 0.0, 0.0),
-        p2p_seconds=p2p_seconds,
+        p2p_seconds=50e-6,
     )
     return MultimodalPipelineResult(
         grouping=grouping, run=run, num_stages=num_stages,

@@ -1,33 +1,20 @@
 """ASCII rendering of pipeline schedules — Figure 2 as text.
 
-Two views:
-
-* :func:`render_program` — the per-rank op sequence (structure only), the
-  compact form used in docstrings and reports.
-* :func:`render_timeline` — an executed schedule on a character grid, one
-  row per rank, proportional to simulated time: forward ops as the
-  micro-batch digit, backwards as letters, idle as dots.  This is the
-  textual analogue of the paper's Figure 2/3 timelines and makes exposed
-  P2P bubbles visible at a glance.
+:func:`render_timeline` draws an executed schedule on a character grid,
+one row per rank, proportional to simulated time: forward ops as the
+micro-batch digit, backwards as letters, idle as dots.  This is the
+textual analogue of the paper's Figure 2/3 timelines and makes exposed
+P2P bubbles visible at a glance.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, List
 
-from repro.pp.schedule import OpKind, PipelineSchedule
+from repro.pp.schedule import OpKind
 
 if TYPE_CHECKING:  # typing only — avoids a package import cycle
     from repro.train.executor import PipelineRun
-
-
-def render_program(schedule: PipelineSchedule, ppr: int) -> str:
-    """One rank's program as ``F0@s0 F1@s0 ... B0@s3`` tokens."""
-    pp = schedule.pp
-    return " ".join(
-        f"{op.kind.value}{op.microbatch}@s{op.global_stage(pp)}"
-        for op in schedule.program(ppr)
-    )
 
 
 def _mb_char(kind: OpKind, microbatch: int) -> str:

@@ -18,7 +18,6 @@ goodput-over-wallclock (``repro run``); see ``docs/resilience.md``.
 
 from repro.resilience.failures import (
     CORRELATED_DOMAINS,
-    FAILURE_KINDS,
     TAXONOMY_PRESETS,
     FailureEvent,
     FailureProcess,
@@ -52,7 +51,6 @@ from repro.resilience.tiers import (
     FAILURE_DOMAINS,
     TIER_NAMES,
     TieredCheckpoint,
-    cheapest_surviving_tier,
     parse_tiered_policy,
     survivability_matrix,
     tier_read_seconds,
@@ -62,7 +60,6 @@ from repro.resilience.tiers import (
 
 __all__ = [
     "CORRELATED_DOMAINS",
-    "FAILURE_KINDS",
     "TAXONOMY_PRESETS",
     "FailureEvent",
     "FailureProcess",
@@ -88,7 +85,6 @@ __all__ = [
     "FAILURE_DOMAINS",
     "TIER_NAMES",
     "TieredCheckpoint",
-    "cheapest_surviving_tier",
     "parse_tiered_policy",
     "survivability_matrix",
     "tier_read_seconds",

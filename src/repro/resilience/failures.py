@@ -44,10 +44,6 @@ import numpy as np
 
 from repro.errors import ConfigError
 
-#: Failure taxonomy kinds, in classification-band order.
-FAILURE_KINDS = ("node_loss", "collective_retry", "rack_loss", "pod_loss",
-                 "gray", "silent_corruption", "transient_straggler")
-
 #: Fail-stop kinds that destroy hardware (and checkpoint tiers with it),
 #: from the smallest failure domain to the largest.
 CORRELATED_DOMAINS = ("node_loss", "rack_loss", "pod_loss")

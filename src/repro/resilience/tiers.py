@@ -41,7 +41,7 @@ result in ``tests/test_resilience_run.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.hardware.cluster import ClusterSpec
@@ -89,29 +89,24 @@ def tier_bandwidth_per_node(tier: str, cluster: ClusterSpec) -> float:
 
 def tier_write_seconds(
     tier: str, model: TextModelConfig, cluster: ClusterSpec, ngpu: int,
-    payload_bytes: Optional[float] = None,
 ) -> float:
     """Seconds to write one checkpoint to ``tier`` from ``ngpu`` GPUs.
 
     The state is sharded across the fleet (every rank owns a disjoint
     optimizer shard under ZeRO), so all nodes write their share in
     parallel and the wall time is the per-node share over the tier's
-    per-node bandwidth.  ``payload_bytes`` overrides the model-derived
-    payload (used by tests and by incremental-checkpoint what-ifs).
+    per-node bandwidth.
     """
     if ngpu < 1:
         raise ValueError("ngpu must be >= 1")
-    if payload_bytes is None:
-        payload_bytes = checkpoint_bytes(model)
     return shard_transfer_seconds(
-        payload_bytes, max(ngpu // cluster.gpus_per_node, 1),
+        checkpoint_bytes(model), max(ngpu // cluster.gpus_per_node, 1),
         tier_bandwidth_per_node(tier, cluster),
         what=f"{tier}-tier checkpoint bandwidth")
 
 
 def tier_read_seconds(
     tier: str, model: TextModelConfig, cluster: ClusterSpec, ngpu: int,
-    payload_bytes: Optional[float] = None,
 ) -> float:
     """Seconds to restore one checkpoint from ``tier`` onto ``ngpu`` GPUs.
 
@@ -120,8 +115,7 @@ def tier_read_seconds(
     restores get slower as capacity is lost — which the elastic-replan
     path in :mod:`repro.resilience.run` prices per segment.
     """
-    return tier_write_seconds(tier, model, cluster, ngpu,
-                              payload_bytes=payload_bytes)
+    return tier_write_seconds(tier, model, cluster, ngpu)
 
 
 def tier_survives(tier: str, domain: str) -> bool:
@@ -141,16 +135,6 @@ def survivability_matrix() -> Dict[str, Dict[str, bool]]:
         domain: {tier: tier_survives(tier, domain) for tier in TIER_NAMES}
         for domain in FAILURE_DOMAINS
     }
-
-
-def cheapest_surviving_tier(
-    tiers: Sequence[str], domain: str,
-) -> Optional[str]:
-    """Fastest-to-read tier among ``tiers`` that survives ``domain``."""
-    for tier in TIER_NAMES:
-        if tier in tiers and tier_survives(tier, domain):
-            return tier
-    return None
 
 
 @dataclass(frozen=True)
@@ -261,7 +245,6 @@ __all__ = [
     "FAILURE_DOMAINS",
     "TieredCheckpoint",
     "AUTO_TIERED",
-    "cheapest_surviving_tier",
     "parse_tiered_policy",
     "survivability_matrix",
     "tier_bandwidth_per_node",

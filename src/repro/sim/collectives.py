@@ -169,10 +169,9 @@ def broadcast_time(
     cluster: ClusterSpec,
     ranks: Sequence[int],
     total_bytes: float,
-    congestion: float = 1.0,
 ) -> CollectiveCost:
     """Binomial-tree broadcast of ``total_bytes`` from the first rank."""
-    _validate(ranks, total_bytes, congestion)
+    _validate(ranks, total_bytes, 1.0)
     n = len(ranks)
     if n == 1:
         return CollectiveCost(0.0, 0.0, float("inf"))
@@ -180,7 +179,7 @@ def broadcast_time(
     hops = math.ceil(math.log2(n))
     # max(..., 1.0) mirrors _ring_steps_time: a zero-byte broadcast is
     # latency-only (hops * alpha), not a ValueError.
-    bw = effective_bandwidth(link, max(total_bytes, 1.0)) / congestion
+    bw = effective_bandwidth(link, max(total_bytes, 1.0))
     seconds = hops * (link.latency + total_bytes / bw)
     return CollectiveCost(
         seconds=seconds,
@@ -258,7 +257,6 @@ def achieved_all_gather_bandwidth(
     cluster: ClusterSpec,
     ranks: Sequence[int],
     total_bytes: float,
-    congestion: float = 1.0,
 ) -> float:
     """Achieved all-gather bus bandwidth in GB/s — the Figure 12 metric.
 
@@ -268,7 +266,7 @@ def achieved_all_gather_bandwidth(
     n = len(ranks)
     if n == 1:
         return 0.0
-    cost = all_gather_time(cluster, ranks, total_bytes, congestion)
+    cost = all_gather_time(cluster, ranks, total_bytes)
     return (n - 1) / n * total_bytes / cost.seconds / 1e9
 
 

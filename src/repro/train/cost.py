@@ -26,13 +26,15 @@ plus one extra forward when activation recomputation is on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
+from typing import List
 
 from repro.cp.perf import AttentionShape, attention_kernel_time
 from repro.hardware.cluster import ClusterSpec
 from repro.hardware.gpu import gemm_time
 from repro.model.config import TextModelConfig
 from repro.parallel.config import JobConfig, ParallelConfig
+from repro.parallel.mesh import DeviceMesh
 from repro.pp.layout import StageAssignment
 from repro.sim.collectives import (
     all_gather_time,
@@ -231,23 +233,20 @@ class CostModel:
             head_dim=self.model.head_dim,
         )
 
-    def layer_attention_seconds(self, mask_fraction: Optional[float] = None) -> float:
+    def layer_attention_seconds(self) -> float:
         """Flash-attention kernel time for one layer, one micro-batch.
 
         The rank computes its ``tokens`` query rows against the full
         ``seq``-length key range (post CP all-gather), at the causal (or
         document-averaged) mask density.
         """
-        if mask_fraction is None:
-            mask_fraction = self.mask_fraction
-        return self._memoized(
-            ("layer_attention", mask_fraction),
-            lambda: self._layer_attention_seconds(mask_fraction))
+        return self._memoized("layer_attention",
+                              self._layer_attention_seconds)
 
-    def _layer_attention_seconds(self, mask_fraction: float) -> float:
+    def _layer_attention_seconds(self) -> float:
         rows = self.tokens * 1  # per micro-batch
         full_seq = self.job.seq * self.job.mbs
-        area = int(mask_fraction * rows * full_seq)
+        area = int(self.mask_fraction * rows * full_seq)
         base = attention_kernel_time(
             self.cluster.gpu, rows, max(area, 1), self.attention_shape(),
             kv_len=full_seq,
@@ -421,7 +420,7 @@ class CostModel:
         """One FSDP parameter all-gather for this rank's shard (only the
         first is exposed; the rest overlap with compute, Section 7.3.1)."""
         def compute() -> float:
-            group = self._dp_cp_group()
+            group = self._fsdp_group
             if len(group) == 1:
                 return 0.0
             bytes_total = 2.0 * params_on_rank
@@ -432,7 +431,7 @@ class CostModel:
     def fsdp_reduce_scatter_seconds(self, params_on_rank: float) -> float:
         """One gradient reduce-scatter (FP32 wire, Section 6.2)."""
         def compute() -> float:
-            group = self._dp_cp_group()
+            group = self._fsdp_group
             if len(group) == 1:
                 return 0.0
             bytes_total = 4.0 * params_on_rank
@@ -446,16 +445,9 @@ class CostModel:
         bytes_moved = shard * (4 * 4 + 2 * 4)  # read m, v, master, grad; write
         return bytes_moved / self.cluster.gpu.hbm_bandwidth
 
-    def _dp_cp_group(self) -> list:
-        """The DP x CP process group of global rank 0 under the
-        [TP, CP, EP, PP, DP] mesh ordering — the group FSDP
-        parameter/gradient collectives run over (Section 4, Integration).
-        EP ranks hold disjoint experts, so EP does not widen this group."""
-        tp, cp, ep, pp, dp = (self.parallel.tp, self.parallel.cp,
-                              self.parallel.ep, self.parallel.pp,
-                              self.parallel.dp)
-        dp_stride = tp * cp * ep * pp
-        ranks = sorted(
-            d * dp_stride + c * tp for d in range(dp) for c in range(cp)
-        )
-        return ranks if len(ranks) > 1 else [0]
+    @cached_property
+    def _fsdp_group(self) -> List[int]:
+        """The DP x CP process group of global rank 0 — the group FSDP
+        parameter/gradient collectives run over (Section 4, Integration);
+        built once per model."""
+        return DeviceMesh(self.parallel).dp_cp_group_of(0)

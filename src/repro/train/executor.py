@@ -5,14 +5,14 @@
 op when all of its dependency uids have executed, and times it on its
 dedicated (rank, stream) pair — ``compute``, ``tp``, ``cp``, ``ep``,
 ``p2p``, ``fsdp``, ``opt``.  An op starts at the latest of its stream's
-free time, its rank's release time and its dependencies' ends, and ends
-its duration later: the rule :meth:`repro.sim.engine.Simulator.run`
-applies, written into flat per-uid lists (:class:`GraphTiming`) instead
-of trace events.  Cross-rank P2P sends are asynchronous: they occupy
-only the producer's ``p2p`` stream, and whenever a consumer's input
-arrives *after* the consumer could have started, the gap is timed as an
-``exposed_comm`` wait on the rank's ``wait`` stream — exactly the
-Figure 3 bubbles, surfaced by the trace exporter as their own category.
+free time and its dependencies' ends, and ends its duration later: the
+rule :meth:`repro.sim.engine.Simulator.run` applies, written into flat
+per-uid lists (:class:`GraphTiming`) instead of trace events.
+Cross-rank P2P sends are asynchronous: they occupy only the producer's
+``p2p`` stream, and whenever a consumer's input arrives *after* the
+consumer could have started, the gap is timed as an ``exposed_comm``
+wait on the rank's ``wait`` stream — exactly the Figure 3 bubbles,
+surfaced by the trace exporter as their own category.
 
 The timeline is a view.  :class:`GraphExecution` builds its ``events``,
 ``wait_events`` and ``sim`` once, on first read, by replaying the timing
@@ -176,7 +176,6 @@ def _time_zero(rank: int, stream: str) -> float:
 def execute_graph(
     graph: StepGraph,
     sim: Optional[Simulator] = None,
-    start_times: Optional[Mapping[int, float]] = None,
     metrics: Optional[MetricsRegistry] = None,
     op_tags: Optional[Mapping[int, Tuple[str, ...]]] = None,
 ) -> GraphExecution:
@@ -187,8 +186,6 @@ def execute_graph(
         sim: Simulator to record the timeline into, at once; each stream
             starts where this simulator has it.  By default the timeline
             goes into a fresh simulator on first read.
-        start_times: Optional per-rank earliest start applied to every op
-            of the rank (models an externally-imposed release time).
         metrics: Registry for op counts, op durations, and exposed-P2P
             wait seconds (keyed by PP rank).
         op_tags: Trace tags per op uid — how a fault-perturbed graph
@@ -196,7 +193,6 @@ def execute_graph(
             rewritten ops ``"faulted"`` in the timeline.  Tagged ops are
             also counted in the ``faults.injected_ops`` metric.
     """
-    start_times = start_times or {}
     programs = graph.programs
     n = sum(len(p) for p in programs)
     start = [0.0] * n
@@ -226,7 +222,6 @@ def execute_graph(
             n_ops = len(prog)
             if ptr >= n_ops:
                 continue
-            floor = start_times.get(rank, 0.0)
             rank_free = free[rank]
             while ptr < n_ops:
                 op = prog[ptr]
@@ -257,9 +252,8 @@ def execute_graph(
                             local_ready = dep_end
                     if arrival is None:
                         arrival = 0.0
-                    local_ready = max(
-                        at, floor,
-                        0.0 if local_ready is None else local_ready)
+                    if local_ready is None or at > local_ready:
+                        local_ready = at
                     if arrival > local_ready:
                         wait_at = rank_free.get("wait")
                         if wait_at is None:
@@ -271,8 +265,6 @@ def execute_graph(
                         wait_uid.append(op.uid)
                         wait_start.append(wait_at)
                         wait_end.append(wait_done)
-                if floor > at:
-                    at = floor
                 for uid in deps:
                     dep_end = end[uid]
                     if dep_end > at:
@@ -500,11 +492,6 @@ def execute_pipeline(
     forward_cost: CostFn,
     backward_cost: CostFn,
     p2p_seconds: float,
-    sim: Optional[Simulator] = None,
-    start_times: Optional[Dict[int, float]] = None,
-    metrics: Optional[MetricsRegistry] = None,
-    backward_input_cost: Optional[CostFn] = None,
-    backward_weight_cost: Optional[CostFn] = None,
 ) -> PipelineRun:
     """Lower a schedule and execute its timeline.
 
@@ -512,16 +499,10 @@ def execute_pipeline(
         schedule: The per-rank programs.
         layout: Layer placement (supplies each op's stage contents).
         forward_cost: Stage -> forward cost for one micro-batch.
-        backward_cost: Stage -> backward cost for one micro-batch.
-        backward_input_cost: Optional BI pricing for split-backward
-            schedules (defaults to the exact-sum split of backward).
-        backward_weight_cost: Optional BW pricing, likewise.
+        backward_cost: Stage -> backward cost for one micro-batch
+            (split-backward schedules price BI and BW as its exact-sum
+            split).
         p2p_seconds: Inter-stage activation/gradient transfer time.
-        sim: Simulator to record into (a fresh one by default).
-        start_times: Optional per-rank earliest start (models the exposed
-            first FSDP all-gather).
-        metrics: Registry to report op counts, op durations, and exposed
-            P2P wait seconds into (keyed by PP rank).
 
     Whenever an op's cross-rank input arrives *after* the rank could have
     started it, the gap is recorded as an ``exposed_comm`` event on the
@@ -529,9 +510,6 @@ def execute_pipeline(
     the trace exporter surfaces them as their own category.
     """
     graph = lower_pipeline(
-        schedule, layout, forward_cost, backward_cost, p2p_seconds,
-        backward_input_cost=backward_input_cost,
-        backward_weight_cost=backward_weight_cost)
-    execution = execute_graph(
-        graph, sim=sim, start_times=start_times, metrics=metrics)
-    return summarize_pipeline_execution(execution, schedule, p2p_seconds)
+        schedule, layout, forward_cost, backward_cost, p2p_seconds)
+    return summarize_pipeline_execution(
+        execute_graph(graph), schedule, p2p_seconds)

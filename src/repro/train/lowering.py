@@ -480,18 +480,14 @@ def lower_pipeline(
     forward_cost: CostFn,
     backward_cost: CostFn,
     p2p_seconds: float,
-    *,
-    backward_input_cost: Optional[CostFn] = None,
-    backward_weight_cost: Optional[CostFn] = None,
 ) -> StepGraph:
     """Lower a schedule's pipeline region (no FSDP/optimizer ops).
 
-    Split-backward schedules price BI/BW ops from the optional cost
-    callables, defaulting to the exact-sum split of ``backward_cost``.
+    Split-backward schedules price BI/BW ops as the exact-sum split of
+    ``backward_cost``.
     """
     return _lower(schedule, layout, forward_cost, backward_cost,
-                  p2p_seconds, backward_input_cost, backward_weight_cost,
-                  step=None)
+                  p2p_seconds, None, None, step=None)
 
 
 def lower_step(

@@ -22,7 +22,6 @@ from repro.model.config import TextModelConfig
 from repro.parallel.config import JobConfig
 
 if TYPE_CHECKING:  # typing only — avoids a package import cycle
-    from repro.obs.metrics import MetricsRegistry
     from repro.parallel.planner import Plan
     from repro.train.step import StepReport
 
@@ -74,16 +73,14 @@ class PhaseReport:
     step: "StepReport" = None  # type: ignore[assignment]
 
 
-def phases_by_name(
-    names: List[str],
-    phases: Tuple[TrainingPhase, ...] = LLAMA3_405B_PHASES,
-) -> Tuple[TrainingPhase, ...]:
-    """Select phases by name, preserving the progression's order.
+def phases_by_name(names: List[str]) -> Tuple[TrainingPhase, ...]:
+    """Select phases of :data:`LLAMA3_405B_PHASES` by name, in the
+    requested order.
 
     Raises ``KeyError`` naming the offender and the valid choices when a
     requested phase does not exist.
     """
-    known = {p.name: p for p in phases}
+    known = {p.name: p for p in LLAMA3_405B_PHASES}
     selected = []
     for name in names:
         if name not in known:
@@ -98,7 +95,6 @@ def plan_pretraining(
     model: TextModelConfig,
     cluster: ClusterSpec,
     phases: Tuple[TrainingPhase, ...] = LLAMA3_405B_PHASES,
-    metrics: "MetricsRegistry" = None,
 ) -> List[PhaseReport]:
     """Plan and simulate every phase in order.
 
@@ -106,8 +102,7 @@ def plan_pretraining(
     the point being that nothing but hyperparameters changes between
     phases; the flexible schedule and CP absorb the rest.  Each phase's
     pipeline timeline is kept on its report (``.step.run.sim``) so the
-    whole progression can be exported as one merged trace; ``metrics``
-    (if given) accumulates every phase's executor counters.
+    whole progression can be exported as one merged trace.
     """
     from repro.parallel.planner import plan_parallelism
     from repro.train.step import simulate_step
@@ -120,7 +115,6 @@ def plan_pretraining(
             schedule_kind="flexible", v=plan.virtual_stages,
             mask_fraction=phase.mask_fraction,
             attention_straggler=phase.attention_straggler,
-            metrics=metrics,
         )
         reports.append(
             PhaseReport(

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import (avoids a cycle)
     from repro.faults.inject import InjectionReport
@@ -167,7 +167,6 @@ def simulate_step(
     schedule_kind: str = "flexible",
     nc: Optional[int] = None,
     v: Optional[int] = None,
-    layout: Optional[PipelineLayout] = None,
     recompute: bool = False,
     congestion: float = 1.0,
     mask_fraction: float = 0.5,
@@ -175,8 +174,6 @@ def simulate_step(
     sim: Optional[Simulator] = None,
     metrics: Optional[MetricsRegistry] = None,
     fault_plan: Optional["FaultPlan"] = None,
-    stage_compute_scale: Optional[Sequence[float]] = None,
-    microbatch_compute_scale: Optional[Sequence[float]] = None,
     stage_preset: Optional[str] = None,
 ) -> StepReport:
     """Simulate one optimizer step and report throughput and memory.
@@ -191,7 +188,6 @@ def simulate_step(
             kinds are priced via the cost model's BI/BW split.
         nc: Round size (default: largest divisor of nmb <= pp).
         v: Virtual stages per rank (default: one layer per stage).
-        layout: Explicit layer placement (default from model/pp/v).
         recompute: Activation checkpointing: False, True (full: only each
             layer's input survives), or "selective" (attention internals
             and FFN hidden recomputed; projections' inputs kept).
@@ -209,15 +205,9 @@ def simulate_step(
             half of the Section 6.1 fault-injection loop.  Perturbed ops
             are tagged ``"faulted"`` in the trace and summarized in
             :attr:`StepReport.fault_injection`.
-        stage_compute_scale: Per-global-stage compute multipliers
-            (length ``pp * v``) for heterogeneous stages — mixed GPU
-            fleets or modality-imbalanced encoder stages.
-        microbatch_compute_scale: Per-micro-batch compute multipliers
-            (length ``nmb``) — variable-length micro-batches.
-        stage_preset: Named stage profile from
-            :data:`repro.pp.heterogeneity.STAGE_PRESETS`
-            (``"mixed-fleet"``, ``"vit-encoder"``); mutually exclusive
-            with an explicit ``stage_compute_scale``.
+        stage_preset: Named per-global-stage compute profile from
+            :data:`repro.pp.heterogeneity.STAGE_PRESETS` for
+            heterogeneous stages (``"mixed-fleet"``, ``"vit-encoder"``).
 
     The reported decomposition is exact on the timeline:
     ``step_seconds = pipeline_seconds + exposed_fsdp_seconds +
@@ -237,22 +227,13 @@ def simulate_step(
             v = entry.constrain(
                 ScheduleShape(pp=pp, v=v, nc=default_nc(pp, nmb),
                               nmb=nmb)).v
-    if layout is None:
-        layout = build_layout(model.n_layers, pp, v)
+    layout = build_layout(model.n_layers, pp, v)
     if nc is None:
         nc = default_nc(pp, nmb)
-    if stage_preset is not None:
-        if stage_compute_scale is not None:
-            raise ValueError(
-                "pass stage_preset or stage_compute_scale, not both")
-        stage_compute_scale = _stage_profile(stage_preset, pp, v)
     shape = ScheduleShape(
         pp=pp, v=v, nc=nc, nmb=nmb,
-        stage_compute_scale=(
-            tuple(stage_compute_scale) if stage_compute_scale else None),
-        microbatch_compute_scale=(
-            tuple(microbatch_compute_scale)
-            if microbatch_compute_scale else None),
+        stage_compute_scale=(None if stage_preset is None
+                             else _stage_profile(stage_preset, pp, v)),
     )
     schedule = build_schedule(shape, schedule_kind)
 

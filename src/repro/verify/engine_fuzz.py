@@ -139,18 +139,16 @@ class EngineFuzzCase:
         return {"ops": [op.to_dict() for op in self.ops]}
 
 
-def sample_case(
-    rng: np.random.Generator,
-    max_ops: int = 24,
-    world: int = 8,
-) -> EngineFuzzCase:
-    """Draw one valid submission sequence from a deterministic RNG.
+def sample_case(rng: np.random.Generator) -> EngineFuzzCase:
+    """Draw one valid submission sequence from a deterministic RNG: 3 to
+    24 ops over 8 ranks.
 
     Durations are full-entropy doubles (not round numbers) so bitwise
     divergence in arithmetic order cannot hide behind representable
     values; zero durations are sampled explicitly.
     """
-    n_ops = int(rng.integers(3, max_ops + 1))
+    world = 8
+    n_ops = int(rng.integers(3, 25))
     ops: List[SubmitOp] = []
     producers: List[int] = []  # uids that yield events
     for uid in range(n_ops):

@@ -147,18 +147,17 @@ def _rule_zero(pp: int, nc: int, nmb: int,
 def sample_config(
     rng: np.random.Generator,
     max_pp: int = 8,
-    max_v: int = 3,
     max_nmb: int = 16,
     kinds: Optional[Sequence[str]] = None,
 ) -> FuzzConfig:
-    """Draw one valid configuration: ``nc`` is a uniform divisor of
-    ``nmb`` so rounds always come out equal, and the schedule kind is
-    drawn from the registry (or the ``kinds`` pool) with the entry's
-    ``constrain`` hook coercing the shape into the kind's support set
-    (e.g. v = 1 for the classic schedules, pp | nmb for interleaved
-    1F1B)."""
+    """Draw one valid configuration, with ``v`` up to 3: ``nc`` is a
+    uniform divisor of ``nmb`` so rounds always come out equal, and the
+    schedule kind is drawn from the registry (or the ``kinds`` pool) with
+    the entry's ``constrain`` hook coercing the shape into the kind's
+    support set (e.g. v = 1 for the classic schedules, pp | nmb for
+    interleaved 1F1B)."""
     pp = int(rng.integers(1, max_pp + 1))
-    v = int(rng.integers(1, max_v + 1))
+    v = int(rng.integers(1, 4))
     nmb = int(rng.integers(1, max_nmb + 1))
     divisors = [d for d in range(1, nmb + 1) if nmb % d == 0]
     nc = int(rng.choice(divisors))
@@ -269,7 +268,6 @@ def run_fuzz(
     seed: int = 0,
     build: Optional[ScheduleBuilder] = None,
     max_pp: int = 8,
-    max_v: int = 3,
     max_nmb: int = 16,
     kinds: Optional[Sequence[str]] = None,
 ) -> CampaignResult[FuzzConfig, InvariantReport]:
@@ -290,8 +288,8 @@ def run_fuzz(
 
     result = run_campaign(
         cases, seed,
-        lambda rng: sample_config(rng, max_pp=max_pp, max_v=max_v,
-                                  max_nmb=max_nmb, kinds=kinds),
+        lambda rng: sample_config(rng, max_pp=max_pp, max_nmb=max_nmb,
+                                  kinds=kinds),
         check, config_neighbours,
         nouns=("config", "violations"), finding_json=_violations_json)
     return dataclasses.replace(result, checks_run=tuple(sorted(checks_run)))
@@ -416,15 +414,16 @@ def sample_fault_scenario(rng: np.random.Generator) -> FaultScenario:
 
 def check_fault_scenario(
     scenario: FaultScenario,
-    spec: WorkloadSpec = FAULT_FUZZ_WORKLOAD,
 ) -> Tuple[bool, DetectionScore]:
-    """Run the localisation loop on one scenario.
+    """Run the localisation loop on one scenario, on
+    :data:`FAULT_FUZZ_WORKLOAD`.
 
     ok means the search pinned exactly the victim rank *and* attributed
     it to compute — the property the noise faults must not break.
     """
     mesh = DeviceMesh(scenario.parallel)
-    score, _ = score_detection(mesh, scenario.plan, spec=spec)
+    score, _ = score_detection(mesh, scenario.plan,
+                               spec=FAULT_FUZZ_WORKLOAD)
     ok = (score.detected_rank == scenario.victim
           and score.attribution == "compute")
     return ok, score
@@ -442,12 +441,12 @@ def fault_scenario_neighbours(scenario: FaultScenario) -> List[FaultScenario]:
 def run_fault_fuzz(
     cases: int,
     seed: int = 0,
-    spec: WorkloadSpec = FAULT_FUZZ_WORKLOAD,
 ) -> CampaignResult[FaultScenario, DetectionScore]:
-    """Fuzz ``cases`` fault scenarios and shrink every localisation miss."""
+    """Fuzz ``cases`` fault scenarios on :data:`FAULT_FUZZ_WORKLOAD` and
+    shrink every localisation miss."""
 
     def check(scenario: FaultScenario) -> Optional[DetectionScore]:
-        ok, score = check_fault_scenario(scenario, spec)
+        ok, score = check_fault_scenario(scenario)
         return None if ok else score
 
     return run_campaign(cases, seed, sample_fault_scenario, check,

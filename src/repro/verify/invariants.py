@@ -622,9 +622,9 @@ def check_critical_path_makespan(
     """The critical path tiles [0, makespan] with bitwise-contiguous
     links — the exact (not approximate) decomposition of the step time.
 
-    Assumes the step was released at t=0 (true for every
-    ``simulate_step`` output; external release floors make the chain
-    legitimately inexact and are reported as violations here).
+    Assumes the step started at t=0 (true for every ``simulate_step``
+    output; a timeline executed into an already-busy simulator makes
+    the chain legitimately inexact and is reported as violations here).
     """
     # Imported lazily: repro.analysis sits above repro.verify in the
     # layering and this is the one place verify reaches up.

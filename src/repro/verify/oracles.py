@@ -126,13 +126,11 @@ def oracle_afab_degeneration(shape: ScheduleShape) -> OracleResult:
 def oracle_cp_attention(
     seq: int,
     cp: int,
-    n_heads: int = 4,
-    n_kv_heads: int = 2,
-    head_dim: int = 8,
     doc_lens: Optional[Sequence[int]] = None,
     seed: int = 0,
 ) -> OracleResult:
-    """Head/tail-sharded all-gather CP attention vs. unsharded attention.
+    """Head/tail-sharded all-gather CP attention vs. unsharded attention,
+    on 4 query heads over 2 KV heads of dimension 8.
 
     Validates the sharding structure first (rank *i* owns chunks *i* and
     ``2*cp - 1 - i``, rows partition exactly), then compares the
@@ -153,9 +151,9 @@ def oracle_cp_attention(
     # einsum reductions are shape-dependent and would report rounding
     # noise as a sharding bug.
     rng = np.random.default_rng(seed)
-    q = rng.standard_normal((seq, n_heads, head_dim))
-    k = rng.standard_normal((seq, n_kv_heads, head_dim))
-    v = rng.standard_normal((seq, n_kv_heads, head_dim))
+    q = rng.standard_normal((seq, 4, 8))
+    k = rng.standard_normal((seq, 2, 8))
+    v = rng.standard_normal((seq, 2, 8))
     batch = None
     if doc_lens is not None:
         batch = DocumentBatch(seq=seq, doc_lens=tuple(doc_lens))
@@ -193,22 +191,19 @@ def oracle_cp_attention(
 # Bubble oracle: zero-bubble must not regress past classic 1F1B
 # ----------------------------------------------------------------------
 
-def oracle_bubble_regression(
-    pp: int = 4,
-    nmb: int = 8,
-    layers_per_stage: int = 2,
-    p2p_seconds: float = 0.25,
-) -> OracleResult:
+def oracle_bubble_regression(pp: int = 4, nmb: int = 8) -> OracleResult:
     """Executed zero-bubble bubble ratio vs. classic 1F1B, uniform stages.
 
     Both schedules are lowered and executed through the full simulator
-    path on identical uniform per-stage costs (backward = 2x forward,
-    the usual dgrad + wgrad proportion) and their measured mean bubble
+    path on identical uniform per-stage costs (two layers per stage,
+    backward = 2x forward, the usual dgrad + wgrad proportion, 0.25 s
+    P2P) and their measured mean bubble
     ratios compared.  The zero-bubble construction defers weight-grad
     work into the 1F1B drain, so on uniform stages its bubble must be
     no larger; any gap the other way means the split-backward pricing
     or lowering broke the schedule's one reason to exist.
     """
+    layers_per_stage, p2p_seconds = 2, 0.25
     context: Dict[str, object] = {
         "pp": pp, "nmb": nmb, "layers_per_stage": layers_per_stage,
         "p2p_seconds": p2p_seconds,
@@ -247,12 +242,12 @@ def oracle_bubble_regression(
 
 def oracle_pp_numerics(
     shape: ScheduleShape,
-    seq: int = 16,
     seed: int = 0,
     precision: PrecisionConfig = PRODUCTION,
 ) -> OracleResult:
     """Pipeline-order gradient accumulation vs. the order-matched
-    sequential baseline, FP32 accumulation, bitwise (Section 6.2).
+    sequential baseline, FP32 accumulation, bitwise (Section 6.2), on
+    16-token sequences.
 
     For every pipeline rank and virtual stage, walks the schedule's
     BACKWARD ops through :func:`pp_microbatch_grads` and replays the same
@@ -260,6 +255,7 @@ def oracle_pp_numerics(
     bit for bit because they differ only in code path, not in arithmetic
     order.
     """
+    seq = 16
     context = {"pp": shape.pp, "v": shape.v, "nc": shape.nc,
                "nmb": shape.nmb, "seq": seq, "seed": seed,
                "grad_accum": precision.grad_accum}

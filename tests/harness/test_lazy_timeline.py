@@ -62,7 +62,7 @@ SIM_GAUGES = ("sim.busy_seconds", "sim.idle_seconds", "sim.comm_seconds",
 
 
 # ----------------------------------------------------------------------
-# Graphs: the lowering-differential grid plus a faulted, released one
+# Graphs: the lowering-differential grid plus a faulted one
 # ----------------------------------------------------------------------
 
 
@@ -86,7 +86,7 @@ def _step_graph(kind, mesh, zero):
 def _faulted_graph():
     """The ``pipeline_interleaved`` differential workload's graph: a
     straggling rank, a degraded P2P link and jitter, every perturbed op
-    tagged ``"faulted"``; run with rank 0 released at 2 ms."""
+    tagged ``"faulted"``."""
     graph = lower_pipeline(
         build_flexible_schedule(ScheduleShape(pp=4, v=2, nc=2, nmb=8)),
         build_layout(n_layers=16, pp=4, v=2),
@@ -148,17 +148,14 @@ class TestLazyEqualsEager:
         reference = ref.execute_graph(graph)
         _identical(compare_simulators(reference.sim, lazy.sim))
 
-    def test_faulted_graph_with_release_time(self):
+    def test_faulted_graph(self):
         graph, tags = _faulted_graph()
-        start_times = {0: 0.002}
-        lazy = execute_graph(graph, start_times=start_times, op_tags=tags)
-        eager = execute_graph(graph, sim=Simulator(),
-                              start_times=start_times, op_tags=tags)
+        lazy = execute_graph(graph, op_tags=tags)
+        eager = execute_graph(graph, sim=Simulator(), op_tags=tags)
         _check_same_timeline(lazy, eager)
         assert lazy.wait_events, "the faulted graph should expose P2P waits"
         assert any("faulted" in e.tags for e in lazy.events.values())
-        reference = ref.execute_graph(graph, start_times=start_times,
-                                      op_tags=tags)
+        reference = ref.execute_graph(graph, op_tags=tags)
         _identical(compare_simulators(reference.sim, lazy.sim))
 
     def test_streams_start_where_the_callers_simulator_has_them(self):
@@ -167,8 +164,8 @@ class TestLazyEqualsEager:
         # A first graph leaves every stream busy; the second starts there.
         ref.execute_graph(graph, sim=reference, op_tags=tags)
         execute_graph(graph, sim=live, op_tags=tags)
-        ref.execute_graph(graph, sim=reference, start_times={0: 0.002})
-        second = execute_graph(graph, sim=live, start_times={0: 0.002})
+        ref.execute_graph(graph, sim=reference)
+        second = execute_graph(graph, sim=live)
         _identical(compare_simulators(reference, live))
         assert second.sim is live
         assert min(e.start for e in second.events.values()) > 0.0
@@ -254,19 +251,14 @@ def _diff_metric(name: str, reference: MetricsRegistry,
             if not _same_value(a, b)]
 
 
-def _faulted_released():
-    graph, tags = _faulted_graph()
-    return graph, tags, {0: 0.002}
-
-
-#: ``() -> (graph, op_tags, start_times)`` for the metrics oracle.
+#: ``() -> (graph, op_tags)`` for the metrics oracle.
 METRIC_GRAPHS = (
-    pytest.param(_faulted_released, id="faulted"),
+    pytest.param(_faulted_graph, id="faulted"),
     pytest.param(lambda: (_step_graph("flexible", MESHES[0],
-                                      ZeroStage.ZERO_3), {}, {}),
+                                      ZeroStage.ZERO_3), {}),
                  id="step-flexible"),
     pytest.param(lambda: (_step_graph("zero-bubble", MESHES[3],
-                                      ZeroStage.ZERO_1), {}, {}),
+                                      ZeroStage.ZERO_1), {}),
                  id="step-zero-bubble-moe"),
 )
 
@@ -274,15 +266,13 @@ METRIC_GRAPHS = (
 class TestExecutorMetrics:
     @pytest.mark.parametrize("make", METRIC_GRAPHS)
     def test_metrics_match_the_frozen_interpreter(self, make):
-        graph, tags, start_times = make()
+        graph, tags = make()
         reference, live = MetricsRegistry(), MetricsRegistry()
         # Twice into the same registries: the second pass accumulates
         # onto existing samples, where summation order shows.
         for _ in range(2):
-            ref.execute_graph(graph, metrics=reference, op_tags=tags,
-                              start_times=start_times)
-            execute_graph(graph, metrics=live, op_tags=tags,
-                          start_times=start_times)
+            ref.execute_graph(graph, metrics=reference, op_tags=tags)
+            execute_graph(graph, metrics=live, op_tags=tags)
         problems: List[str] = []
         for name in EXECUTOR_METRICS:
             problems += _diff_metric(name, reference, live)

@@ -175,9 +175,9 @@ PIPELINE_CASES = tuple((case, COMM_MIXES[i % len(COMM_MIXES)])
 
 
 def _both_pipelines(schedule: PipelineSchedule, layout: PipelineLayout,
-                    fwd, bwd, p2p: float, **extra):
-    return (ref.lower_pipeline(schedule, layout, fwd, bwd, p2p, **extra),
-            lower_pipeline(schedule, layout, fwd, bwd, p2p, **extra))
+                    fwd, bwd, p2p: float):
+    return (ref.lower_pipeline(schedule, layout, fwd, bwd, p2p),
+            lower_pipeline(schedule, layout, fwd, bwd, p2p))
 
 
 def _check_execution(schedule, reference_graph, live_graph, p2p) -> None:
@@ -206,18 +206,25 @@ class TestPipelineLowering:
         _check_execution(schedule, reference, live, 2e-4)
 
     def test_split_backward_explicit_halves(self):
+        # Explicit BI/BW pricing reaches lowering only through lower_step
+        # (simulate_step passes the cost model's split).
         shape = ScheduleShape(pp=4, v=1, nc=4, nmb=NMB)
         schedule = build_schedule(shape, "zero-bubble")
         assert schedule.uses_split_backward
         layout = build_layout(32, 4, 1)
         fwd, bwd = _synthetic_costs(True, True, True)
         half, _ = _synthetic_costs(True, False, True)
+        step = dict(zero=ZeroStage.ZERO_1,
+                    fsdp_allgather_cost=lambda s: 1e-4 * s.n_layers,
+                    fsdp_reduce_scatter_cost=lambda s: 2e-4 * s.n_layers,
+                    optimizer_cost=lambda ppr: 3e-4)
         for extra in ({"backward_input_cost": half},
                       {"backward_weight_cost": half},
                       {"backward_input_cost": half,
                        "backward_weight_cost": fwd}):
-            reference, live = _both_pipelines(schedule, layout, fwd, bwd,
-                                              1e-4, **extra)
+            args = (schedule, layout, fwd, bwd, 1e-4)
+            reference = ref.lower_step(*args, **step, **extra)
+            live = lower_step(*args, **step, **extra)
             _check_execution(schedule, reference, live, 1e-4)
 
     def test_missing_producer_raises_the_same_error(self):

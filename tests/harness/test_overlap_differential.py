@@ -10,9 +10,9 @@ interval.  Each case runs both on the same simulator and requires every
 
 Randomized timelines cover touching endpoints, nested and zero-length
 compute, comm spanning many intervals, zero-length comm, ranks with no
-compute, and a ``rank_map``.  Real timelines are the healthy and faulted
-steps of every ``faults-analyze`` fault kind, a cp > 1 step and an
-ep > 1 MoE step.
+compute, and a rank map (``remap_ranks`` on the live side).  Real
+timelines are the healthy and faulted steps of every
+``faults-analyze`` fault kind, a cp > 1 step and an ep > 1 MoE step.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from repro.faults import FaultPlan
 from repro.hardware.cluster import grand_teton
 from repro.model.config import LLAMA3_8B
 from repro.obs.metrics import MetricsRegistry, record_comm_overlap_metrics
+from repro.obs.trace import remap_ranks
 from repro.parallel.config import JobConfig, ParallelConfig
 from repro.sim.engine import Simulator, TraceEvent
 from repro.train.step import simulate_step
@@ -46,7 +47,10 @@ def _samples(registry: MetricsRegistry) -> dict:
 
 
 def _assert_bitwise(sim: Simulator, rank_map=None) -> None:
-    live = _samples(record_comm_overlap_metrics(sim, rank_map=rank_map))
+    # A rank map reaches the live accounting the way the CLI applies it:
+    # on the timeline, before anything reads it.
+    live_sim = sim if rank_map is None else remap_ranks(sim, rank_map)
+    live = _samples(record_comm_overlap_metrics(live_sim))
     frozen = _samples(reference_overlap(sim, rank_map=rank_map))
     assert live == frozen
 

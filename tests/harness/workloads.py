@@ -51,7 +51,7 @@ from repro.resilience import (
 from repro.sim.collectives import RetryPolicy
 from repro.train.cost import StageCost
 from repro.train.executor import execute_graph
-from repro.train.lowering import lower_pipeline
+from repro.train.lowering import lower_pipeline, lower_step
 from repro.train.step import simulate_step
 
 
@@ -87,15 +87,14 @@ def _step_workload(parallel: ParallelConfig, job: JobConfig, ngpu: int,
     return fn
 
 
-def _straggling_pipeline(sim, graph, rank: int, scale: float,
-                          **kwargs) -> None:
+def _straggling_pipeline(sim, graph, rank: int, scale: float) -> None:
     """Execute a lowered pipeline with one pipeline rank's compute
     scaled by a fault plan (the Section 8.1 throttled GPU)."""
     plan = FaultPlan((ComputeStraggler(rank=rank, extra_seconds=0.0,
                                        scale=scale),))
     graph, report = apply_fault_plan(
         graph, plan, DeviceMesh(ParallelConfig(pp=len(graph.programs))))
-    execute_graph(graph, sim=sim, op_tags=report.tags_by_uid, **kwargs)
+    execute_graph(graph, sim=sim, op_tags=report.tags_by_uid)
 
 
 def wl_pipeline_interleaved(sim) -> None:
@@ -108,16 +107,15 @@ def wl_pipeline_interleaved(sim) -> None:
         backward_cost=lambda s: StageCost(0.008 * s.n_layers, 0.001, 0.0005),
         p2p_seconds=0.0003,
     )
-    _straggling_pipeline(sim, graph, rank=2, scale=1.3,
-                         start_times={0: 0.002})
+    _straggling_pipeline(sim, graph, rank=2, scale=1.3)
 
 
 def wl_pipeline_zero_bubble(sim) -> None:
-    """Raw pipeline executor: split-backward schedule — BI on the
-    critical path, deferred BW ops filling the drain, with explicit
-    asymmetric BI/BW pricing and a straggling rank."""
+    """Step executor: split-backward schedule — BI on the critical
+    path, deferred BW ops filling the drain, with explicit asymmetric
+    BI/BW pricing and a straggling rank."""
     shape = ScheduleShape(pp=4, v=1, nc=4, nmb=8)
-    graph = lower_pipeline(
+    graph = lower_step(
         build_zero_bubble_schedule(shape),
         build_layout(n_layers=4, pp=4, v=1),
         forward_cost=lambda s: StageCost(0.004 * s.n_layers, 0.001, 0.0),
@@ -127,6 +125,10 @@ def wl_pipeline_zero_bubble(sim) -> None:
         backward_weight_cost=lambda s: StageCost(
             0.003 * s.n_layers, 0.0, 0.0),
         p2p_seconds=0.0003,
+        zero=ZeroStage.ZERO_1,
+        fsdp_allgather_cost=lambda s: 0.001 * s.n_layers,
+        fsdp_reduce_scatter_cost=lambda s: 0.001 * s.n_layers,
+        optimizer_cost=lambda ppr: 0.0005,
     )
     _straggling_pipeline(sim, graph, rank=1, scale=1.2)
 

@@ -3,7 +3,7 @@ slack semantics, and the invariant-suite integration."""
 
 import pytest
 
-from repro.analysis.critical_path import SLACK_EPS, extract_critical_path
+from repro.analysis.critical_path import extract_critical_path
 from repro.hardware.cluster import grand_teton
 from repro.model.config import LLAMA3_8B
 from repro.obs.metrics import record_critical_path_metrics
@@ -54,8 +54,9 @@ class TestExactness:
         assert total == pytest.approx(self.cp.path_seconds)
 
     def test_path_ops_have_negligible_slack(self):
+        # Float dust from the latest-finish arithmetic only.
         for e in self.cp.entries:
-            assert 0.0 <= e.slack <= SLACK_EPS
+            assert 0.0 <= e.slack <= 1e-9
 
     def test_slack_covers_every_executed_op(self):
         assert set(self.cp.slack_by_uid) == set(self.rep.execution.events)
@@ -136,12 +137,6 @@ class TestEmptyAndDegenerate:
         assert d["exact"] is True
         assert d["n_ops"] == cp.n_ops
 
-    def test_remap_ranks(self):
-        cp = _extract(_step())
-        remapped = cp.remap_ranks({0: 10, 1: 21})
-        assert {e.rank for e in remapped.entries} <= {10, 21}
-        assert remapped.makespan_seconds == cp.makespan_seconds
-
 
 class TestMetricsHook:
     def test_record_critical_path_metrics(self):
@@ -157,7 +152,7 @@ class TestMetricsHook:
                 stream=stream) == pytest.approx(
                     seconds / cp.makespan_seconds)
         ops = registry.counter("critical_path.ops")
-        total = sum(row["value"] for row in ops.sample_rows())
+        total = sum(ops.values.values())
         assert total == cp.n_ops
 
     def test_rank_map_applied(self):

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from repro.data.documents import (
     DocumentBatch,
     doc_ids_from_lengths,
-    eos_positions,
     make_batch,
     sample_document_lengths,
 )
@@ -17,10 +16,6 @@ class TestDocumentBatch:
     def test_doc_ids(self):
         b = DocumentBatch(seq=6, doc_lens=(2, 4))
         assert b.doc_ids.tolist() == [0, 0, 1, 1, 1, 1]
-
-    def test_eos_positions(self):
-        b = DocumentBatch(seq=6, doc_lens=(2, 4))
-        assert b.eos == [1, 5]
 
     def test_attended_per_row(self):
         b = DocumentBatch(seq=5, doc_lens=(2, 3))
@@ -88,9 +83,6 @@ class TestHelpers:
         assert doc_ids_from_lengths([1, 2]).tolist() == [0, 1, 1]
         with pytest.raises(ValueError):
             doc_ids_from_lengths([])
-
-    def test_eos_positions_helper(self):
-        assert eos_positions([3, 2, 1]) == [2, 4, 5]
 
     def test_make_batch_defaults(self):
         b = make_batch(128)

@@ -85,18 +85,6 @@ class TestMemorySnapshot:
         assert peak == 150 and t == 1.0
         assert snap.live_at_peak() == {"weights": 100, "activations": 50}
 
-    def test_free_more_than_held_rejected(self):
-        snap = MemorySnapshot()
-        snap.alloc(0.0, "x", 10)
-        with pytest.raises(ValueError):
-            snap.free(1.0, "x", 20)
-
-    def test_partial_free(self):
-        snap = MemorySnapshot()
-        snap.alloc(0.0, "x", 10)
-        snap.free(1.0, "x", 4)
-        assert snap.timeline()[-1][1] == 6
-
     def test_negative_alloc_rejected(self):
         with pytest.raises(ValueError):
             MemorySnapshot().alloc(0.0, "x", -1)

@@ -48,13 +48,13 @@ class TestHbmCapacitySweep:
 
 class TestDvfsJitter:
     def test_deterministic_costs_only_the_mean(self):
-        rep = dvfs_jitter_inflation(world_size=1024, slowdown_mean=0.02)
+        rep = dvfs_jitter_inflation(world_size=1024)
         assert rep.deterministic_inflation == pytest.approx(0.02)
 
     def test_jitter_costs_the_tail(self):
         """Transient per-rank slowdowns inflate elapsed time far beyond
         their mean — the Section 8.1 determinism argument."""
-        rep = dvfs_jitter_inflation(world_size=1024, slowdown_mean=0.02)
+        rep = dvfs_jitter_inflation(world_size=1024)
         assert rep.jitter_inflation > 4 * rep.deterministic_inflation
 
     def test_inflation_grows_with_world_size(self):
@@ -65,8 +65,7 @@ class TestDvfsJitter:
         assert large.jitter_inflation > small.jitter_inflation
 
     def test_single_rank_jitter_near_mean(self):
-        rep = dvfs_jitter_inflation(world_size=1, sync_points=20000,
-                                    slowdown_mean=0.02)
+        rep = dvfs_jitter_inflation(world_size=1)
         assert rep.jitter_inflation == pytest.approx(0.02, rel=0.2)
 
     def test_validation(self):

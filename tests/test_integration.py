@@ -11,7 +11,7 @@ from repro.model.flops import model_params
 from repro.parallel.config import JobConfig
 from repro.parallel.mesh import DeviceMesh
 from repro.parallel.planner import plan_parallelism
-from repro.pp.analysis import ScheduleShape, default_nc
+from repro.pp.analysis import ScheduleShape, bubble_ratio, default_nc
 from repro.pp.schedule import build_flexible_schedule
 from repro.train.step import simulate_step
 
@@ -86,7 +86,7 @@ class TestAnalyticalVsEventLevel:
             p2p_seconds=0.0,
         )
         assert run.mean_bubble_ratio == pytest.approx(
-            shape.ideal_bubble_ratio, rel=1e-9
+            bubble_ratio(shape.pp, shape.nmb, shape.v), rel=1e-9
         )
 
     def test_memory_tracker_vs_planner_estimate(self):

@@ -28,8 +28,9 @@ class TestTextConfigs:
         assert model_params(LLAMA3_405B) == pytest.approx(405e9, rel=0.05)
 
     def test_gqa_ratio(self):
-        assert LLAMA3_405B.gqa_ratio == 16
-        assert LLAMA3_8B.gqa_ratio == 4
+        # Query heads per KV head: why all-gather CP is cheap (Section 4).
+        assert LLAMA3_405B.n_heads // LLAMA3_405B.n_kv_heads == 16
+        assert LLAMA3_8B.n_heads // LLAMA3_8B.n_kv_heads == 4
 
     def test_vocab_is_128k(self):
         # Section 7.1.2: the 128K vocabulary drives PP imbalance.

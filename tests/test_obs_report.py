@@ -9,7 +9,6 @@ from repro.cp.imbalance import simulate_fleet_imbalance
 from repro.hardware.cluster import grand_teton
 from repro.model.config import LLAMA3_8B
 from repro.obs.report import (
-    SCHEMA_VERSION,
     imbalance_report,
     phases_report,
     plan_report,
@@ -39,7 +38,7 @@ class TestPlanReport:
     def test_schema_and_fields(self):
         plan = plan_parallelism(LLAMA3_8B, JOB, grand_teton(16))
         rep = plan_report(plan)
-        assert rep["schema"] == f"repro.plan/v{SCHEMA_VERSION}"
+        assert rep["schema"] == "repro.plan/v2"
         assert rep["parallel"]["world_size"] == 16
         assert rep["job"]["gbs"] == 8
         assert isinstance(rep["rationale"], list) and rep["rationale"]
@@ -49,7 +48,7 @@ class TestPlanReport:
 class TestStepReport:
     def test_schema_and_headline_numbers(self, step):
         rep = step_report(step, PAR, JOB)
-        assert rep["schema"] == f"repro.step/v{SCHEMA_VERSION}"
+        assert rep["schema"] == "repro.step/v2"
         assert rep["step_seconds"] == pytest.approx(step.step_seconds)
         assert rep["tflops_per_gpu"] == pytest.approx(step.tflops_per_gpu)
         assert len(rep["per_rank_busy_seconds"]) == PAR.pp
@@ -82,7 +81,7 @@ class TestPhasesReport:
         reports = plan_pretraining(
             LLAMA3_405B, grand_teton(16384), LLAMA3_405B_PHASES[:2])
         rep = phases_report(reports)
-        assert rep["schema"] == f"repro.phases/v{SCHEMA_VERSION}"
+        assert rep["schema"] == "repro.phases/v2"
         assert [p["name"] for p in rep["phases"]] == \
             [r.phase.name for r in reports]
         for row in rep["phases"]:
@@ -97,7 +96,7 @@ class TestImbalanceReport:
             grand_teton(256), seq=131072, cp=16, n_dp_groups=8, steps=2,
             mean_doc_len=32768.0, rng=np.random.default_rng(0))
         rep = imbalance_report(fleet)
-        assert rep["schema"] == f"repro.imbalance/v{SCHEMA_VERSION}"
+        assert rep["schema"] == "repro.imbalance/v2"
         assert rep["n_gpus"] == fleet.compute_seconds.size
         for key in ("attention_seconds", "compute_seconds",
                     "exposed_cp_seconds", "wait_seconds"):

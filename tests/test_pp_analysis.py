@@ -78,7 +78,7 @@ class TestScheduleShape:
         s = ScheduleShape(pp=4, v=2, nc=4, nmb=8)
         assert s.tmb == 16
         assert s.rounds == 2
-        assert s.ideal_bubble_ratio == pytest.approx(3 / 16)
+        assert bubble_ratio(s.pp, s.nmb, s.v) == pytest.approx(3 / 16)
 
     def test_nc_must_divide_nmb(self):
         with pytest.raises(ValueError):

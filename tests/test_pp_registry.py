@@ -255,14 +255,14 @@ class TestHeterogeneity:
         assert vit.step_seconds != base.step_seconds
 
     def test_microbatch_profile_changes_the_priced_step(self):
-        base = self._step()
-        het = self._step(microbatch_compute_scale=[1.0, 2.0, 1.0, 1.0])
-        assert het.step_seconds > base.step_seconds
-
-    def test_preset_and_explicit_profile_conflict(self):
-        with pytest.raises(ValueError, match="not both"):
-            self._step(stage_preset="vit-encoder",
-                       stage_compute_scale=[1.0] * 32)
+        # A per-micro-batch profile rides on ScheduleShape (DIP's input);
+        # lowering scales each micro-batch's compute by it.
+        uniform = ScheduleShape(pp=2, v=1, nc=2, nmb=4)
+        heavy = ScheduleShape(pp=2, v=1, nc=2, nmb=4,
+                              microbatch_compute_scale=(1.0, 2.0, 1.0, 1.0))
+        base = _execute(build_schedule(uniform, "flexible"), uniform)
+        het = _execute(build_schedule(heavy, "flexible"), heavy)
+        assert het.makespan > base.makespan
 
     def test_report_names_the_built_schedule(self):
         assert self._step().schedule == "1f1b-interleaved"

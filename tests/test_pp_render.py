@@ -4,7 +4,7 @@ import pytest
 
 from repro.pp.analysis import ScheduleShape
 from repro.pp.layout import build_layout
-from repro.pp.render import render_program, render_timeline
+from repro.pp.render import render_timeline
 from repro.pp.schedule import build_flexible_schedule
 from repro.train.cost import StageCost
 from repro.train.executor import execute_pipeline
@@ -21,15 +21,6 @@ def _run(p2p=0.0):
         lambda s: StageCost(2.0 * s.n_layers, 0, 0),
         p2p_seconds=p2p,
     )
-
-
-class TestRenderProgram:
-    def test_contains_all_ops(self):
-        sched = build_flexible_schedule(SHAPE)
-        text = render_program(sched, 0)
-        assert text.count("F") == SHAPE.tmb
-        assert text.count("B") == SHAPE.tmb
-        assert "@s0" in text and "@s3" in text
 
 
 class TestRenderTimeline:

@@ -28,7 +28,6 @@ from repro.resilience import (
     YoungDaly,
     NoCheckpoint,
     FixedInterval,
-    cheapest_surviving_tier,
     choose_mitigation,
     parse_detector,
     parse_policy,
@@ -39,7 +38,8 @@ from repro.resilience import (
     tier_survives,
     tier_write_seconds,
 )
-from repro.resilience.tiers import tier_intervals
+from repro.resilience.policy import shard_transfer_seconds
+from repro.resilience.tiers import tier_bandwidth_per_node, tier_intervals
 
 GOLDEN = Path(__file__).parent / "golden" / "resilience_survivability.json"
 
@@ -70,15 +70,6 @@ class TestSurvivability:
         with pytest.raises(ValueError):
             tier_survives("tape", "node_loss")
 
-    def test_cheapest_surviving_tier(self):
-        tiers = ("peer", "local", "remote")
-        assert cheapest_surviving_tier(tiers, "none") == "peer"
-        assert cheapest_surviving_tier(tiers, "node_loss") == "peer"
-        assert cheapest_surviving_tier(tiers, "rack_loss") == "remote"
-        assert cheapest_surviving_tier(("remote",), "node_loss") \
-            == "remote"
-        assert cheapest_surviving_tier(("local",), "node_loss") is None
-
 
 class TestTierPricing:
     def test_cost_hierarchy_matches_the_storage_hierarchy(self):
@@ -90,8 +81,8 @@ class TestTierPricing:
 
     def test_zero_payload_is_free_on_every_tier(self):
         for t in ("peer", "local", "remote"):
-            assert tier_write_seconds(t, MODEL, CLUSTER, 32,
-                                      payload_bytes=0.0) == 0.0
+            assert shard_transfer_seconds(
+                0.0, 4, tier_bandwidth_per_node(t, CLUSTER)) == 0.0
 
     def test_unknown_tier_rejected(self):
         with pytest.raises(ValueError):

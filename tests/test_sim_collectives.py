@@ -71,8 +71,6 @@ class TestBroadcast:
             broadcast_time(CLUSTER, [0, 0], 1e6)
         with pytest.raises(ValueError):
             broadcast_time(CLUSTER, [0, 1], -5)
-        with pytest.raises(ValueError):
-            broadcast_time(CLUSTER, [0, 1], 1e6, congestion=0.5)
 
     def test_zero_bytes_is_latency_only(self):
         """Regression: a zero-byte broadcast used to divide by an

@@ -5,6 +5,7 @@ import pytest
 from repro.hardware.cluster import grand_teton
 from repro.model.config import LLAMA3_405B, LLAMA3_405B_SCALED_26L
 from repro.parallel.config import JobConfig, ParallelConfig, ZeroStage
+from repro.parallel.mesh import DeviceMesh
 from repro.pp.layout import build_layout
 from repro.train.cost import CostModel
 
@@ -40,9 +41,8 @@ class TestLayerPieces:
         assert _cost(cp=1).layer_cp_comm_seconds() == 0.0
 
     def test_attention_time_scales_with_mask_fraction(self):
-        c = _cost()
-        dense = c.layer_attention_seconds(mask_fraction=1.0)
-        causal = c.layer_attention_seconds(mask_fraction=0.5)
+        dense = _cost(mask_fraction=1.0).layer_attention_seconds()
+        causal = _cost(mask_fraction=0.5).layer_attention_seconds()
         assert causal < dense
 
     def test_elementwise_memory_bound(self):
@@ -117,3 +117,23 @@ class TestStepLevelComm:
         c = _cost()
         assert c.optimizer_seconds(2e9) == pytest.approx(
             2 * c.optimizer_seconds(1e9))
+
+
+def _sorted_dp_cp_group(tp, cp, ep, pp, dp):
+    """The cost model's former private copy of rank 0's DP x CP group."""
+    dp_stride = tp * cp * ep * pp
+    ranks = sorted(d * dp_stride + c * tp for d in range(dp) for c in range(cp))
+    return ranks if len(ranks) > 1 else [0]
+
+
+class TestFsdpGroup:
+    @pytest.mark.parametrize("tp,cp,ep,pp,dp", [
+        (1, 1, 1, 1, 1), (8, 1, 1, 1, 1), (2, 1, 1, 4, 1),
+        (1, 1, 1, 1, 4), (2, 4, 1, 1, 1), (2, 2, 1, 2, 2),
+        (1, 1, 4, 1, 1), (2, 1, 4, 2, 2), (2, 2, 2, 2, 2),
+        (8, 16, 1, 4, 4), (8, 1, 1, 16, 128), (1, 3, 2, 1, 3),
+    ])
+    def test_equals_the_mesh_group_of_rank_zero(self, tp, cp, ep, pp, dp):
+        par = ParallelConfig(tp=tp, cp=cp, ep=ep, pp=pp, dp=dp)
+        assert (DeviceMesh(par).dp_cp_group_of(0)
+                == _sorted_dp_cp_group(tp, cp, ep, pp, dp))

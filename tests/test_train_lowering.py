@@ -10,7 +10,7 @@ import pytest
 
 from repro.hardware.cluster import grand_teton
 from repro.model.config import LLAMA3_8B
-from repro.obs.metrics import MetricsRegistry, record_comm_overlap_metrics
+from repro.obs.metrics import record_comm_overlap_metrics
 from repro.parallel.config import JobConfig, ParallelConfig, ZeroStage
 from repro.parallel.planner import plan_parallelism
 from repro.pp.analysis import default_nc
@@ -143,18 +143,18 @@ class TestCommOverlapMetrics:
         total = reg.gauge("comm.total_seconds")
         overlapped = reg.gauge("comm.overlapped_seconds")
         exposed = reg.gauge("comm.exposed_seconds")
-        for row in total.sample_rows():
-            labels = {k: v for k, v in row["labels"].items()}
-            assert row["value"] == pytest.approx(
+        for labelset, value in total.values.items():
+            labels = dict(labelset)
+            assert value == pytest.approx(
                 overlapped.value(**labels) + exposed.value(**labels))
 
     def test_fsdp_prefetch_counted_as_overlapped(self):
         rep, par, _ = _small_step()
         reg = record_comm_overlap_metrics(rep.run.sim)
         hidden = sum(
-            row["value"]
-            for row in reg.gauge("comm.overlapped_seconds").sample_rows()
-            if row["labels"]["stream"] == "fsdp")
+            value
+            for labels, value in reg.gauge("comm.overlapped_seconds").values.items()
+            if dict(labels)["stream"] == "fsdp")
         assert hidden > 0.0
 
 

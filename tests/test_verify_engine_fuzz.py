@@ -66,7 +66,7 @@ class TestCampaign:
         reference_cls = load_reference_simulator()
         ops_seen = set()
         for _ in range(30):
-            case = sample_case(rng, world=4)
+            case = sample_case(rng)
             ops_seen.update(op.op for op in case.ops)
             # Dep references only point at earlier uids (every
             # submission kind produces an event).
