@@ -15,10 +15,10 @@ Engine-vs-reference correctness is pinned bitwise elsewhere, by the
 differential harness (``tests/harness/test_differential.py``) and the
 engine fuzz campaign (``repro verify --engine``).
 
-Besides the human-readable results file, writes
-``benchmarks/results/BENCH_engine.json`` (events/sec, timings) for the
-CI ``engine-bench`` job to upload; the pinned floor below fails the job
-on a regression.
+The human-readable results file holds only simulated columns, so it is
+the same on every host; the host timings (events/sec, seconds) go only
+to ``benchmarks/results/BENCH_engine.json``, for the CI ``engine-bench``
+job to upload.  The pinned floor below fails the job on a regression.
 """
 
 import json
@@ -63,11 +63,7 @@ def test_131k_rank_collectives(report):
         "floor_events_per_second": FLOOR_COLLECTIVE_EPS,
     }
     report.line(f"131K-rank collectives: {rounds} full-world rounds")
-    report.table(
-        ["world", "events", "elapsed s", "events/sec"],
-        [(f"{world:,}", f"{n_events:,}", f"{elapsed:.2f}",
-          f"{eps:,.0f}")],
-    )
+    report.table(["world", "events"], [(f"{world:,}", f"{n_events:,}")])
     report.line()
 
     assert len(sim.events) == n_events + 1  # plus the late joiner
@@ -118,10 +114,8 @@ def test_zero_bubble_16x64(report):
     report.line("Zero-bubble build+execute: 16-stage x 64-microbatch "
                 "split-backward schedule")
     report.table(
-        ["ops", "events", "build s", "execute s", "events/sec", "bubble"],
-        [(f"{n_ops:,}", f"{n_events:,}", f"{build_elapsed:.4f}",
-          f"{exec_elapsed:.4f}", f"{eps:,.0f}",
-          f"{run.mean_bubble_ratio:.3f}")],
+        ["ops", "events", "bubble"],
+        [(f"{n_ops:,}", f"{n_events:,}", f"{run.mean_bubble_ratio:.3f}")],
     )
     report.line()
 

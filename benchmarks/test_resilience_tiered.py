@@ -7,7 +7,9 @@ the folded fast-path engine, so a 100-step fleet simulation at 131K
 ranks is sub-second; the pinned events/sec floor fails the CI job if
 the tiered bookkeeping ever turns per-step work into per-rank work.
 
-Writes ``benchmarks/results/BENCH_resilience_tiered.json`` for the CI
+The human-readable results file holds only simulated columns; the host
+timings (wall seconds, events/sec) go only to
+``benchmarks/results/BENCH_resilience_tiered.json``, for the CI
 ``resilience-smoke`` job to upload.
 """
 
@@ -73,9 +75,8 @@ def test_131k_tiered_run(report):
     report.line(f"131K-rank tiered resilient run: {STEPS} steps of 405B "
                 f"on {WORLD:,} GPUs, rack-correlated taxonomy")
     report.table(
-        ["world", "steps", "timeline events", "wall s", "events/sec"],
-        [(f"{WORLD:,}", STEPS, n_events, f"{elapsed:.3f}",
-          f"{eps:,.0f}")],
+        ["world", "steps", "timeline events"],
+        [(f"{WORLD:,}", STEPS, n_events)],
     )
     report.line(f"tier writes: {r.tier_writes}  "
                 f"intervals: {r.tier_intervals}")

@@ -173,23 +173,21 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 
 def cmd_step(args: argparse.Namespace) -> int:
-    from repro.obs.metrics import MetricsRegistry
     from repro.train.step import simulate_step
 
     cluster = grand_teton(args.ngpu)
     job = JobConfig(seq=args.seq, gbs=args.gbs, ngpu=args.ngpu)
     model = _moe_model(args)
     par = _step_parallel(args)
-    metrics = MetricsRegistry()
     rep = simulate_step(model, par, job, cluster,
-                        schedule_kind=args.schedule, metrics=metrics,
+                        schedule_kind=args.schedule,
                         stage_preset=getattr(args, "stage_preset", None))
     if args.trace:
         _export_step_trace(rep, par, args.trace)
     if args.json:
         from repro.obs.report import step_report
 
-        _print_json(step_report(rep, par, job, metrics))
+        _print_json(step_report(rep, par, job))
         return 0
     print(f"step time:      {rep.step_seconds:.3f} s")
     print(f"throughput:     {rep.tflops_per_gpu:.0f} TFLOPs/GPU")

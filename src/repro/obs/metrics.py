@@ -20,12 +20,23 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Tuple,
+)
 
 from repro.ordered_sum import ordered_sum
 from repro.parallel.config import ParallelConfig
 from repro.parallel.mesh import DIM_ORDER, DeviceMesh, MeshCoord
 from repro.sim.engine import Simulator
+
+if TYPE_CHECKING:  # pragma: no cover - type-only import (avoids a cycle)
+    from repro.train.executor import PipelineRun
 
 LabelSet = Tuple[Tuple[str, str], ...]
 
@@ -236,71 +247,47 @@ class MetricsRegistry:
 
 
 def record_simulator_metrics(
-    sim: Simulator,
+    run: "PipelineRun",
     registry: Optional[MetricsRegistry] = None,
     rank_map: Optional[Dict[int, int]] = None,
 ) -> MetricsRegistry:
-    """Distill a recorded timeline into per-rank step metrics.
+    """Write a step's per-rank time record as gauges.
 
-    Writes, labeled by (mapped) rank:
+    Writes, labeled by (mapped) rank, what
+    :class:`repro.train.executor.PipelineRun` holds or derives:
 
-    * ``sim.busy_seconds`` — compute-kind time on the compute stream;
-    * ``sim.idle_seconds`` — makespan minus compute-stream occupancy (the
-      PP bubble numerator);
-    * ``sim.comm_seconds`` — synchronising-collective span time;
-    * ``sim.exposed_comm_seconds`` — exposed communication (P2P waits,
-      unhidden collectives);
-    * ``sim.bubble_ratio`` — idle over busy, the paper's PP bubble metric.
+    * ``sim.busy_seconds`` — compute seconds;
+    * ``sim.idle_seconds`` — the pipeline window minus the rank's
+      occupied time (compute plus TP/CP/EP communication);
+    * ``sim.exposed_comm_seconds`` — exposed P2P wait seconds;
+    * ``sim.bubble_ratio`` — idle over occupied, the paper's PP bubble
+      metric.
 
-    ``sim`` may also be an executed step graph
-    (:class:`repro.train.executor.GraphExecution`): its ``rank_seconds``
-    gives the same figures from the timing, without building the
-    timeline.  ``rank_map`` translates simulator-local ranks (e.g. PP
-    ranks in the step executor) to global mesh ranks before labeling.
+    ``rank_map`` translates the run's PP ranks to global mesh ranks
+    before labeling.
     """
     registry = registry or MetricsRegistry()
     rank_map = rank_map or {}
-    rank_seconds = getattr(sim, "rank_seconds", None)
-    makespan, rows = (rank_seconds() if rank_seconds is not None
-                      else _rank_seconds(sim))
     busy = registry.gauge("sim.busy_seconds", unit="s",
                           description="compute-stream busy time per rank")
-    idle = registry.gauge("sim.idle_seconds", unit="s",
-                          description="makespan minus compute-stream occupancy")
-    comm = registry.gauge("sim.comm_seconds", unit="s",
-                          description="collective span time per rank")
+    idle = registry.gauge(
+        "sim.idle_seconds", unit="s",
+        description="pipeline window minus occupied time per rank")
     exposed = registry.gauge(
         "sim.exposed_comm_seconds", unit="s",
         description="exposed communication time per rank")
     bubble = registry.gauge(
         "sim.bubble_ratio", unit="ratio",
-        description="idle over busy on the compute stream")
-    for rank, busy_s, occupied_s, comm_s, exposed_s in rows:
+        description="idle over occupied time per rank")
+    for rank, (busy_s, idle_s, ratio, comm) in enumerate(zip(
+            run.per_rank_busy, run.per_rank_idle, run.bubble_ratios,
+            run.per_rank_comm)):
         label = rank_map.get(rank, rank)
         busy.set(busy_s, rank=label)
-        idle.set(makespan - occupied_s, rank=label)
-        comm.set(comm_s, rank=label)
-        exposed.set(exposed_s, rank=label)
-        bubble.set((makespan - occupied_s) / busy_s if busy_s > 0 else 0.0,
-                   rank=label)
+        idle.set(idle_s, rank=label)
+        exposed.set(comm.get("exposed_p2p", 0.0), rank=label)
+        bubble.set(ratio, rank=label)
     return registry
-
-
-def _rank_seconds(sim: Simulator):
-    """``(makespan, [(rank, busy, occupied, comm, exposed seconds)])`` of
-    every rank with events, as :func:`record_simulator_metrics` reads."""
-    rows = []
-    for rank in sorted({e.rank for e in sim.events}):
-        busy_s = ordered_sum(
-            e.duration
-            for e in sim.events_for(rank, stream="compute", kind="compute"))
-        occupied_s = sim.busy_time(rank, "compute")  # any kind on the stream
-        comm_s = ordered_sum(
-            e.duration for e in sim.events_for(rank, kind="comm"))
-        exposed_s = ordered_sum(
-            e.duration for e in sim.events_for(rank, kind="exposed_comm"))
-        rows.append((rank, busy_s, occupied_s, comm_s, exposed_s))
-    return sim.makespan(), rows
 
 
 def record_critical_path_metrics(

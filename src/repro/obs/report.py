@@ -30,11 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
 import numpy as np
 
 from repro.cp.imbalance import FleetImbalanceReport
-from repro.obs.metrics import (
-    MetricsRegistry,
-    pp_rank_map,
-    record_simulator_metrics,
-)
+from repro.obs.metrics import pp_rank_map, record_simulator_metrics
 from repro.parallel.config import JobConfig, ParallelConfig
 from repro.parallel.mesh import DIM_ORDER, DeviceMesh
 from repro.parallel.planner import Plan
@@ -78,20 +74,15 @@ def plan_report(plan: Plan) -> dict:
     }
 
 
-def step_group_metrics(
-    rep: StepReport,
-    parallel: ParallelConfig,
-    registry: Optional[MetricsRegistry] = None,
-) -> dict:
+def step_group_metrics(rep: StepReport, parallel: ParallelConfig) -> dict:
     """Per-(dp, pp, ep, cp, tp)-group aggregates of a simulated step.
 
-    Records the step's pipeline timeline into a registry (unless an
-    already-populated one is handed in) and rolls busy/idle/exposed-comm
-    seconds (sum) and bubble ratio (mean) up each mesh dimension.
+    Writes the step's per-rank time record (:attr:`StepReport.run`) as
+    ``sim.*`` gauges and rolls busy/idle/exposed-comm seconds (sum) and
+    bubble ratio (mean) up each mesh dimension.
     """
-    if registry is None or "sim.busy_seconds" not in registry:
-        registry = record_simulator_metrics(
-            rep.run.sim, registry, rank_map=pp_rank_map(parallel))
+    registry = record_simulator_metrics(
+        rep.run, rank_map=pp_rank_map(parallel))
     mesh = DeviceMesh(parallel)
     out: dict = {}
     for name, reduce in (
@@ -109,12 +100,8 @@ def step_group_metrics(
     return out
 
 
-def step_report(
-    rep: StepReport,
-    parallel: ParallelConfig,
-    job: JobConfig,
-    registry: Optional[MetricsRegistry] = None,
-) -> dict:
+def step_report(rep: StepReport, parallel: ParallelConfig,
+                job: JobConfig) -> dict:
     """One simulated optimizer step: headline numbers, per-rank detail,
     and mesh-group metric aggregates."""
     return {
@@ -136,7 +123,7 @@ def step_report(
         "bubble_ratios": list(rep.run.bubble_ratios),
         "per_rank_busy_seconds": list(rep.run.per_rank_busy),
         "per_rank_comm_seconds": [
-            dict(sorted(d.items())) for d in (rep.run.per_rank_comm or ())
+            dict(sorted(d.items())) for d in rep.run.per_rank_comm
         ],
         "per_rank_peak_memory_gb": list(rep.per_rank_peak_memory_gb),
         "max_peak_memory_gb": rep.max_peak_memory_gb,
@@ -144,7 +131,7 @@ def step_report(
         "fits": rep.fits,
         "expert_imbalance": rep.expert_imbalance,
         "dropped_token_fraction": rep.dropped_token_fraction,
-        "groups": step_group_metrics(rep, parallel, registry),
+        "groups": step_group_metrics(rep, parallel),
     }
 
 

@@ -19,9 +19,10 @@ The timeline is a view.  :class:`GraphExecution` builds its ``events``,
 in submission order (the round-robin order of the walk) through
 :meth:`~repro.sim.engine.Simulator.record`; a caller that passes
 ``sim=`` gets them built at once into that simulator.  The summary
-(:func:`summarize_pipeline_execution`), the step-time decomposition and
-the ``sim.*`` gauges read the lists, so a step whose caller reads no
-timeline builds no :class:`~repro.sim.engine.TraceEvent`.
+(:func:`summarize_pipeline_execution`) reads the lists, and the
+step-time decomposition and the ``sim.*`` gauges read the summary, so a
+step whose caller reads no timeline builds no
+:class:`~repro.sim.engine.TraceEvent`.
 
 The interpreter doubles as a deadlock detector — an invalid schedule
 (one whose per-rank op order creates a circular wait) raises instead of
@@ -53,6 +54,7 @@ from repro.train.lowering import (
     PIPELINE_STREAMS,
     StepGraph,
     StepOp,
+    StepOpKind,
     lower_pipeline,
 )
 
@@ -136,37 +138,6 @@ class GraphExecution:
             events[uid] = event
         built.update(sim=sim, events=events, wait_events=tuple(waits))
         return built[name]
-
-    def rank_seconds(self) -> Tuple[float, List[Tuple[int, float, float,
-                                                        float, float]]]:
-        """What :func:`repro.obs.metrics.record_simulator_metrics` reads
-        off a simulator holding only this timeline, from the timing.
-
-        Returns the makespan and, per rank with events, ``(rank, compute
-        seconds, compute-stream occupancy, comm seconds, exposed wait
-        seconds)``, each summed in the rank's submission order.  Only
-        compute ops occupy the ``compute`` stream, so the two compute
-        figures are the same sum.
-        """
-        timing = self.timing
-        start, end = timing.start, timing.end
-        wait_durations: Dict[int, List[float]] = {}
-        for uid, s, e in zip(timing.wait_uid, timing.wait_start,
-                             timing.wait_end):
-            wait_durations.setdefault(timing.rank[uid], []).append(e - s)
-        makespan = max(0.0, max(end, default=0.0),
-                       max(timing.wait_end, default=0.0))
-        rows = []
-        for rank, prog in enumerate(self.graph.programs):
-            if not prog:
-                continue
-            busy = ordered_sum(end[op.uid] - start[op.uid] for op in prog
-                               if op.stream == "compute")
-            comm = ordered_sum(end[op.uid] - start[op.uid] for op in prog
-                               if op.stream not in COMPUTE_STREAMS)
-            exposed = ordered_sum(wait_durations.get(rank, ()))
-            rows.append((rank, busy, busy, comm, exposed))
-        return makespan, rows
 
 
 def _time_zero(rank: int, stream: str) -> float:
@@ -353,7 +324,15 @@ def _record_metrics(metrics: MetricsRegistry, timing: GraphTiming) -> None:
 
 @dataclass(frozen=True)
 class PipelineRun:
-    """Result of executing one schedule."""
+    """The one per-rank time record of an executed schedule or step.
+
+    :func:`summarize_pipeline_execution` folds it from the timing in one
+    pass; every per-rank figure (busy, comm, exposed wait, idle, bubble)
+    and the step decomposition (:class:`repro.train.step.StepReport`) is
+    derived from it.  The pipeline window runs from :attr:`start_time`
+    to :attr:`makespan`; a rank is *occupied* for its compute plus TP,
+    CP and EP communication, and idle for the rest of the window.
+    """
 
     schedule: PipelineSchedule
     #: Simulator holding the run's timeline (built on first read when
@@ -361,11 +340,14 @@ class PipelineRun:
     sim: Simulator = BuiltOnRead(required=True)
     #: Latest end time across the run's own pipeline events (a step
     #: timeline's FSDP/optimizer tail is *not* included — see
-    #: :class:`repro.train.step.StepReport` for the full-step time).
+    #: :attr:`step_end`).
     makespan: float
     #: Per-rank **compute-only** busy seconds (communication is tallied
     #: separately in :attr:`per_rank_comm`).
     per_rank_busy: Tuple[float, ...]
+    #: Per-rank communication seconds by kind ("tp", "cp", "ep", "p2p",
+    #: "exposed_p2p", and "fsdp" for step timelines).
+    per_rank_comm: Tuple[Dict[str, float], ...]
     #: Compute event of every executed op, for timeline verification
     #: (:mod:`repro.verify.invariants` checks send-before-recv against
     #: these without parsing event names).
@@ -377,9 +359,12 @@ class PipelineRun:
     #: first FSDP all-gather) delays the whole pipeline; bubble ratios
     #: measure idleness from here, not from t=0.
     start_time: float = 0.0
-    #: Per-rank communication seconds by kind ("tp", "cp", "ep", "p2p",
-    #: "exposed_p2p", and "fsdp" for step timelines).
-    per_rank_comm: Optional[Tuple[Dict[str, float], ...]] = None
+    #: Latest end of any op of the graph: the step time (0.0 when the
+    #: run was not folded from a graph).
+    step_end: float = 0.0
+    #: Latest end of an FSDP gradient reduce-scatter; :attr:`makespan`
+    #: when the graph has none (0.0 when not folded from a graph).
+    reduce_scatter_end: float = 0.0
     #: The interpreted graph ``sim`` and ``op_events`` are built from
     #: when they were not passed.
     execution: Optional[GraphExecution] = field(
@@ -402,11 +387,8 @@ class PipelineRun:
 
     @property
     def per_rank_occupied(self) -> Tuple[float, ...]:
-        """Compute plus exposed TP/CP/EP communication per rank — the
-        time a rank is *doing* pipeline work (the pre-graph notion of
-        busy)."""
-        if self.per_rank_comm is None:
-            return self.per_rank_busy
+        """Compute plus TP/CP/EP communication per rank — the time a
+        rank is *doing* pipeline work."""
         return tuple(
             busy + comm.get("tp", 0.0) + comm.get("cp", 0.0)
             + comm.get("ep", 0.0)
@@ -415,6 +397,7 @@ class PipelineRun:
 
     @property
     def per_rank_idle(self) -> Tuple[float, ...]:
+        """The pipeline window minus each rank's occupied time."""
         span = self.makespan - self.start_time
         return tuple(span - occ for occ in self.per_rank_occupied)
 
@@ -447,6 +430,7 @@ def summarize_pipeline_execution(
     comm: List[Dict[str, float]] = [{} for _ in range(pp)]
     makespan = 0.0
     start_time: Optional[float] = None
+    reduce_scatter_end: Optional[float] = None
     timing = execution.timing
     start, end = timing.start, timing.end
     # Branch on the op's stream: COMPUTE is the only op on ``compute``,
@@ -466,6 +450,12 @@ def summarize_pipeline_execution(
                 rank_comm = comm[op.rank]
                 rank_comm[stream] = (
                     rank_comm.get(stream, 0.0) + (op_end - op_start))
+                # The stream test is the cheap filter; all-gathers share it.
+                if (stream == "fsdp"
+                        and op.kind is StepOpKind.FSDP_REDUCESCATTER
+                        and (reduce_scatter_end is None
+                             or op_end > reduce_scatter_end)):
+                    reduce_scatter_end = op_end
             if stream in PIPELINE_STREAMS and op_end > makespan:
                 makespan = op_end
     for uid, wait_start, wait_end in zip(
@@ -479,9 +469,12 @@ def summarize_pipeline_execution(
         sim=UNBUILT,
         makespan=makespan,
         per_rank_busy=tuple(busy),
+        per_rank_comm=tuple(comm),
         p2p_seconds=p2p_seconds,
         start_time=start_time or 0.0,
-        per_rank_comm=tuple(comm),
+        step_end=max(end, default=0.0),
+        reduce_scatter_end=(makespan if reduce_scatter_end is None
+                            else reduce_scatter_end),
         execution=execution,
     )
 

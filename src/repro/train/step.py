@@ -55,18 +55,15 @@ from repro.train.executor import (
     execute_graph,
     summarize_pipeline_execution,
 )
-from repro.train.lowering import StepOpKind, lower_step
+from repro.train.lowering import lower_step
 
 
 @dataclass(frozen=True)
 class StepReport:
     """One simulated optimizer step."""
 
+    #: The step's per-rank time record; the decomposition below reads it.
     run: PipelineRun
-    step_seconds: float
-    pipeline_seconds: float
-    exposed_fsdp_seconds: float
-    optimizer_seconds: float
     model_flops: float
     ngpu: int
     per_rank_peak_memory_gb: Tuple[float, ...]
@@ -95,6 +92,35 @@ class StepReport:
     #: Per-GPU HBM capacity of the simulated hardware, in GiB (the
     #: :attr:`fits` threshold; infinite when the report was built by hand).
     hbm_capacity_gb: float = math.inf
+
+    @property
+    def step_seconds(self) -> float:
+        """The step graph's makespan."""
+        return self.run.step_end
+
+    @property
+    def pipeline_seconds(self) -> float:
+        """The pipeline window, from the first compute op to the last
+        pipeline-stream op or exposed wait."""
+        return self.run.makespan - self.run.start_time
+
+    @property
+    def _reduce_scatter_tail(self) -> float:
+        """How far the last gradient reduce-scatter runs past the
+        pipeline window."""
+        return max(self.run.reduce_scatter_end - self.run.makespan, 0.0)
+
+    @property
+    def exposed_fsdp_seconds(self) -> float:
+        """The head the first parameter all-gather delays the pipeline
+        by, plus the reduce-scatter tail past it."""
+        return self.run.start_time + self._reduce_scatter_tail
+
+    @property
+    def optimizer_seconds(self) -> float:
+        """The rest of the step after the reduce-scatter tail."""
+        return (self.step_seconds - self.run.makespan
+                - self._reduce_scatter_tail)
 
     @property
     def tflops_per_gpu(self) -> float:
@@ -275,23 +301,6 @@ def simulate_step(
     run = summarize_pipeline_execution(execution, schedule,
                                        cost.p2p_seconds())
 
-    # Exact timeline decomposition: the pipeline region spans
-    # [start_time, pipeline_end]; the head before it (first exposed FSDP
-    # all-gather) plus the reduce-scatter tail past it are the exposed
-    # FSDP seconds; whatever remains to the full makespan is optimizer.
-    # Read off the timing: no trace event is built here.
-    end = execution.timing.end
-    pipeline_end = run.makespan
-    step_seconds = max(end, default=0.0)
-    rs_end = max(
-        (end[op.uid] for prog in graph.programs for op in prog
-         if op.kind is StepOpKind.FSDP_REDUCESCATTER),
-        default=pipeline_end)
-    rs_tail = max(rs_end - pipeline_end, 0.0)
-    exposed_fsdp = run.start_time + rs_tail
-    optimizer = step_seconds - pipeline_end - rs_tail
-    pipeline_seconds = pipeline_end - run.start_time
-
     # Per-rank peak memory: static base + schedule-tracked dynamic peak.
     act = activation_bytes_per_layer(
         model, seq=job.seq, mbs=job.mbs, tp=parallel.tp, cp=parallel.cp
@@ -348,30 +357,8 @@ def simulate_step(
         dropped = dropped_token_fraction(
             model.n_experts, model.capacity_factor, expert_imbalance)
 
-    if metrics is not None:
-        rank_map = pp_rank_map(parallel)
-        # A caller's simulator may hold more than this step: read it.
-        record_simulator_metrics(execution if sim is None else run.sim,
-                                 metrics, rank_map=rank_map)
-        step_gauges = metrics.gauge(
-            "step.seconds", unit="s",
-            description="step-time components, by part")
-        step_gauges.set(step_seconds, part="total")
-        step_gauges.set(pipeline_seconds, part="pipeline")
-        step_gauges.set(exposed_fsdp, part="exposed_fsdp")
-        step_gauges.set(optimizer, part="optimizer")
-        peak_mem = metrics.gauge(
-            "step.peak_memory_gb", unit="GiB",
-            description="per-rank peak memory over the step")
-        for ppr, gb in enumerate(peaks):
-            peak_mem.set_max(gb, rank=rank_map[ppr])
-
-    return StepReport(
+    report = StepReport(
         run=run,
-        step_seconds=step_seconds,
-        pipeline_seconds=pipeline_seconds,
-        exposed_fsdp_seconds=exposed_fsdp,
-        optimizer_seconds=optimizer,
         model_flops=flops,
         ngpu=job.ngpu,
         per_rank_peak_memory_gb=tuple(peaks),
@@ -384,3 +371,19 @@ def simulate_step(
         dropped_token_fraction=dropped,
         hbm_capacity_gb=cluster.gpu.hbm_capacity_gb,
     )
+    if metrics is not None:
+        rank_map = pp_rank_map(parallel)
+        record_simulator_metrics(run, metrics, rank_map=rank_map)
+        step_gauges = metrics.gauge(
+            "step.seconds", unit="s",
+            description="step-time components, by part")
+        step_gauges.set(report.step_seconds, part="total")
+        step_gauges.set(report.pipeline_seconds, part="pipeline")
+        step_gauges.set(report.exposed_fsdp_seconds, part="exposed_fsdp")
+        step_gauges.set(report.optimizer_seconds, part="optimizer")
+        peak_mem = metrics.gauge(
+            "step.peak_memory_gb", unit="GiB",
+            description="per-rank peak memory over the step")
+        for ppr, gb in enumerate(peaks):
+            peak_mem.set_max(gb, rank=rank_map[ppr])
+    return report

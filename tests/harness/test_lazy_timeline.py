@@ -6,8 +6,10 @@ and builds its trace events only when ``events``, ``wait_events`` or
 These tests pin that the two give the same timeline, field for field and
 in the same order, over the lowering-differential grid; that the
 executor's metrics equal the frozen reference interpreter's, label set
-for label set in insertion order; and that a step whose caller reads no
-timeline builds no :class:`~repro.sim.engine.TraceEvent`.
+for label set in insertion order; that the ``sim.*`` gauges, written
+from the step's per-rank record, equal what the built timeline gives;
+and that a step whose caller reads no timeline builds no
+:class:`~repro.sim.engine.TraceEvent`.
 """
 
 from __future__ import annotations
@@ -26,11 +28,8 @@ from repro.faults.models import (
 )
 from repro.hardware.cluster import grand_teton
 from repro.model.config import LLAMA3_8B
-from repro.obs.metrics import (
-    MetricsRegistry,
-    pp_rank_map,
-    record_simulator_metrics,
-)
+from repro.obs.metrics import MetricsRegistry, pp_rank_map
+from repro.ordered_sum import ordered_sum
 from repro.parallel.config import JobConfig, ParallelConfig, ZeroStage
 from repro.parallel.mesh import DeviceMesh
 from repro.pp.layout import build_layout
@@ -46,6 +45,7 @@ from repro.train.executor import execute_graph
 from repro.train.lowering import lower_pipeline, lower_step
 from repro.train.step import simulate_step
 from tests.harness import reference_lowering as ref
+from tests.harness import reference_sim_metrics
 from tests.harness.diffing import compare_simulators, diff_event_lists
 from tests.harness.test_lowering_differential import (
     MESHES,
@@ -57,8 +57,12 @@ from tests.harness.workloads import STANDARD_MESHES
 
 EXECUTOR_METRICS = ("pp.ops", "pp.op_seconds", "pp.exposed_p2p_seconds",
                     "faults.injected_ops")
-SIM_GAUGES = ("sim.busy_seconds", "sim.idle_seconds", "sim.comm_seconds",
-              "sim.exposed_comm_seconds", "sim.bubble_ratio")
+#: Gauges the frozen event-path oracle and the record agree on.
+ORACLE_GAUGES = ("sim.busy_seconds", "sim.exposed_comm_seconds")
+#: Gauges of the record's pipeline-window definition.
+WINDOW_GAUGES = ("sim.idle_seconds", "sim.bubble_ratio")
+#: Streams whose events close the pipeline window.
+WINDOW_STREAMS = ("compute", "tp", "cp", "ep", "p2p", "wait")
 
 
 # ----------------------------------------------------------------------
@@ -284,15 +288,46 @@ class TestExecutorMetrics:
         ("tp8_pp1_dp1", ParallelConfig(tp=8, pp=1, dp=1),
          JobConfig(seq=4096, gbs=8, ngpu=8), 8),), ids=lambda m: m[0])
     def test_sim_gauges_equal_the_built_timeline(self, mesh, fault):
+        """Busy and exposed-wait seconds equal the frozen event-path
+        oracle's bit for bit; idle and bubble equal the pipeline-window
+        definition recomputed from the built events."""
         _, parallel, job, ngpu = mesh
         plan = (FaultPlan((ComputeStraggler(rank=0, extra_seconds=0.01),))
                 if fault else None)
         metrics = MetricsRegistry()
         rep = simulate_step(LLAMA3_8B, parallel, job, grand_teton(ngpu),
                             metrics=metrics, fault_plan=plan)
-        built = record_simulator_metrics(
-            rep.run.sim, MetricsRegistry(), rank_map=pp_rank_map(parallel))
+        rank_map = pp_rank_map(parallel)
+        oracle = reference_sim_metrics.record_simulator_metrics(
+            rep.run.sim, MetricsRegistry(), rank_map=rank_map)
+        window = _window_gauges(rep.run.sim, rank_map)
         problems: List[str] = []
-        for name in SIM_GAUGES:
-            problems += _diff_metric(name, built, metrics)
+        for name in ORACLE_GAUGES:
+            problems += _diff_metric(name, oracle, metrics)
+        for name in WINDOW_GAUGES:
+            problems += _diff_metric(name, window, metrics)
         _identical(problems)
+        assert "sim.comm_seconds" not in metrics
+
+
+def _window_gauges(sim: Simulator, rank_map) -> MetricsRegistry:
+    """Idle and bubble from built events: the window runs from the first
+    compute event to the last pipeline-stream or wait end; a rank is
+    occupied for its compute plus tp/cp/ep event time."""
+    events = sim.events
+    window = (max(e.end for e in events if e.stream in WINDOW_STREAMS)
+              - min(e.start for e in events if e.stream == "compute"))
+    registry = MetricsRegistry()
+    idle = registry.gauge("sim.idle_seconds")
+    bubble = registry.gauge("sim.bubble_ratio")
+    for rank in sorted({e.rank for e in events}):
+        occupied = ordered_sum(
+            e.duration for e in sim.events_for(rank, stream="compute"))
+        for stream in ("tp", "cp", "ep"):
+            occupied = occupied + ordered_sum(
+                e.duration for e in sim.events_for(rank, stream=stream))
+        label = rank_map.get(rank, rank)
+        idle.set(window - occupied, rank=label)
+        bubble.set((window - occupied) / occupied if occupied > 0 else 0.0,
+                   rank=label)
+    return registry

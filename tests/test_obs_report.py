@@ -73,6 +73,16 @@ class TestStepReport:
         total_busy = sum(groups["busy_seconds"]["dp"].values())
         assert total_busy == pytest.approx(sum(step.run.per_rank_busy))
 
+    def test_pp_groups_are_the_runs_own_ratios(self, step):
+        """The groups and the headline fields read one per-rank record:
+        each pp stage's bubble ratio and idle seconds are the run's."""
+        groups = step_group_metrics(step, PAR)
+        for i in range(PAR.pp):
+            assert (groups["bubble_ratio"]["pp"][str(i)]
+                    == step.run.bubble_ratios[i])
+        assert (list(groups["idle_seconds"]["pp"].values())
+                == list(step.run.per_rank_idle))
+
 
 class TestPhasesReport:
     def test_schema_and_per_phase_rows(self):
